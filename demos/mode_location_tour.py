@@ -12,7 +12,6 @@ from ncx2shape import (
     antimode,
     inflection_point,
     interior_mode,
-    mode_monotonicity_probe,
     mode_report,
 )
 
@@ -27,7 +26,7 @@ def main():
 
     print("\nthe mode moves right as the noncentrality grows (nu = 4):")
     ladder = [0.0, 1.0, 2.0, 4.0, 8.0, 16.0]
-    modes = mode_monotonicity_probe(4.0, ladder)
+    modes = [interior_mode(Params(nu=4.0, lam=lam)) for lam in ladder]
     for lam, m in zip(ladder, modes):
         print(f"  lambda={lam:5.1f}  mode={m:.6f}")
 

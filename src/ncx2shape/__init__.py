@@ -47,7 +47,6 @@ from .modes import (
     mode_bound_indicator,
     mode_bound_indicator_limits,
     mode_bounds,
-    mode_monotonicity_probe,
     mode_report,
 )
 from .oracle import (
@@ -109,7 +108,6 @@ __all__ = [
     "mode_bound_indicator",
     "mode_bound_indicator_limits",
     "mode_bounds",
-    "mode_monotonicity_probe",
     "mode_report",
     "ratio_asymptotic",
     "ratio_eval",

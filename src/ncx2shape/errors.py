@@ -10,7 +10,7 @@ class DomainError(NCX2ShapeError, ValueError):
 
 
 class ConvergenceError(NCX2ShapeError, RuntimeError):
-    """An iterative method exhausted its iteration budget."""
+    """An iterative method exhausted its budget or cannot reach its tolerance."""
 
 
 class BracketError(NCX2ShapeError, RuntimeError):

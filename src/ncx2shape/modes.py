@@ -12,19 +12,25 @@ unique zero of the log-density slope inside a provable bracket:
 
 In the bimodal regime the density also has a local minimum (antimode)
 between zero and the inflection point of the log density.
+
+Both roots are bisected on the slope by the solver shared with
+:mod:`ncx2shape.shape`, until the bracket width is at most
+``tol * max(1, hi)``.  :func:`mode_report` solves them together, so the
+inflection point and the critical noncentrality are computed once per call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .bessel import bessel_ratio
 from .density import Params, log_density_d1
-from .errors import BracketError, DomainError
-from .shape import critical_lambda, inflection_point
+from .errors import DomainError
+from .shape import _bisect, _check_tol, _step, critical_lambda, inflection_point
 
 # Position tolerance (relative) for the bisection solvers.
 DEFAULT_TOL = 1e-10
@@ -57,7 +63,7 @@ class ModeReport:
     bound_source: str | None
 
 
-def has_interior_mode(p: Params, tol: float = DEFAULT_TOL) -> bool:
+def has_interior_mode(p: Params) -> bool:
     """Existence of an interior mode."""
     nu, lam = p.nu, p.lam
     if nu > 2.0:
@@ -93,83 +99,33 @@ def mode_bounds(p: Params) -> tuple[float, float]:
     return lower, upper
 
 
-def _bisect_slope_root(p: Params, lo: float, hi: float, tol: float, positive_left: bool) -> float:
-    # positive_left: slope is positive at lo and negative at hi (mode);
-    # otherwise negative at lo and positive at hi (antimode).
-    while hi - lo > tol * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        slope = log_density_d1(p, mid)
-        if (slope > 0.0) == positive_left:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def interior_mode(p: Params, tol: float = DEFAULT_TOL) -> float | None:
-    """Location of the interior mode, or None when there is none.
-
-    The bracket comes from the location bounds above, padded outward so the
-    slope straddles zero strictly even when a bound is attained (lam = 0
-    makes both log-concave bounds collapse onto the mode).  For nu < 2 the
-    left end is the inflection point, where the slope is provably positive.
-    """
-    nu, lam = p.nu, p.lam
-    if not has_interior_mode(p, tol):
-        return None
-    if nu >= 2.0:
-        lo0 = max((nu - 2.0) * (1.0 + lam / nu), 0.0)
-        hi0 = lam + nu - 2.0
-        lo = max(lo0 - _BRACKET_PAD * max(1.0, abs(lo0)), 1e-12)
-        hi = hi0 + _BRACKET_PAD * max(1.0, hi0)
-    else:
-        lo = inflection_point(p)
-        hi0 = lam + nu - 3.0
-        hi = hi0 + _BRACKET_PAD * max(1.0, hi0)
-    for _ in range(200):
-        if log_density_d1(p, lo) > 0.0:
-            break
-        lo *= 0.5
-    else:
-        raise BracketError(f"no positive slope found left of the mode at nu={nu}, lam={lam}")
-    for _ in range(200):
-        if log_density_d1(p, hi) < 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise BracketError(f"no negative slope found right of the mode at nu={nu}, lam={lam}")
-    return _bisect_slope_root(p, lo, hi, tol, positive_left=True)
+    """Location of the interior mode, or None when there is none; see :func:`mode_report`."""
+    return mode_report(p, tol).interior_mode
 
 
 def antimode(p: Params, tol: float = DEFAULT_TOL) -> float | None:
     """Location of the interior local minimum, or None outside the bimodal regime.
 
-    The slope falls to -inf at zero and is positive at the inflection point,
-    and the log density is convex in between, so the zero in that interval
-    is unique.
+    Solved together with the interior mode by :func:`mode_report`.
     """
-    nu, lam = p.nu, p.lam
-    if not (0.0 < nu < 2.0) or lam <= 0.0:
-        return None
-    if lam <= critical_lambda(nu).lambda_nu:
-        return None
-    hi = inflection_point(p)
-    lo = 0.5 * hi
-    for _ in range(2000):
-        if log_density_d1(p, lo) < 0.0:
-            break
-        lo *= 0.25
-    else:
-        raise BracketError(f"no negative slope found near zero at nu={nu}, lam={lam}")
-    return _bisect_slope_root(p, lo, hi, tol, positive_left=False)
+    return mode_report(p, tol).antimode
 
 
 def mode_report(p: Params, tol: float = DEFAULT_TOL) -> ModeReport:
-    """Full mode summary: zero mode flag, interior mode, antimode, bounds."""
+    """Full mode summary: zero mode flag, interior mode, antimode, bounds.
+
+    The mode bracket comes from the location bounds, padded outward so the
+    slope straddles zero strictly even when a bound is attained (lam = 0
+    makes both log-concave bounds collapse onto the mode).  For nu < 2 the
+    left end is the inflection point, where the slope is provably positive.
+    The antimode lies between zero, where the slope falls to -inf, and the
+    inflection point; the log density is convex there, so the zero is unique.
+    """
+    _check_tol(tol)
     nu, lam = p.nu, p.lam
     zero_is_mode = nu < 2.0 or (nu == 2.0 and lam <= 2.0)
-    mode = interior_mode(p, tol)
-    if mode is None:
+    if not has_interior_mode(p):
         return ModeReport(
             params=p,
             zero_is_mode=zero_is_mode,
@@ -180,30 +136,30 @@ def mode_report(p: Params, tol: float = DEFAULT_TOL) -> ModeReport:
             bound_source=None,
         )
     lower, upper, source = _bounds_with_source(nu, lam)
+    slope = partial(log_density_d1, p)
+    if nu >= 2.0:
+        lo0 = max((nu - 2.0) * (1.0 + lam / nu), 0.0)
+        lo = max(lo0 - _BRACKET_PAD * max(1.0, abs(lo0)), 1e-12)
+    else:
+        lo = x_tilde = inflection_point(p)
+    # Each end of the mode bracket gets 200 evaluations to find its sign.
+    lo = _step(slope, lo, 0.5, lo * 0.5**199, 1.0, "no positive slope found left of the mode")
+    hi = upper + _BRACKET_PAD * max(1.0, upper)
+    hi = _step(slope, hi, 2.0, hi * 2.0**199, -1.0, "no negative slope found right of the mode")
+    mode = _bisect(slope, lo, hi, tol, tol)[0]
+    anti = None
+    if nu < 2.0:
+        lo = _step(slope, 0.5 * x_tilde, 0.25, 1e-280, -1.0, "no negative slope found near zero")
+        anti = _bisect(lambda x: -slope(x), lo, x_tilde, tol, tol)[0]
     return ModeReport(
         params=p,
         zero_is_mode=zero_is_mode,
         interior_mode=mode,
-        antimode=antimode(p, tol),
+        antimode=anti,
         bounds_lower=lower,
         bounds_upper=upper,
         bound_source=source,
     )
-
-
-def mode_monotonicity_probe(nu: float, lambdas) -> list[float]:
-    """Interior mode locations along a ladder of noncentralities.
-
-    Every entry must admit an interior mode; the caller asserts that the
-    returned sequence increases.
-    """
-    out = []
-    for lam in lambdas:
-        mode = interior_mode(Params(nu=nu, lam=float(lam)))
-        if mode is None:
-            raise DomainError(f"no interior mode at nu={nu}, lam={lam}")
-        out.append(mode)
-    return out
 
 
 def mode_bound_indicator(nu: float, lam: float) -> float:

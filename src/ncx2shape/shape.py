@@ -5,13 +5,20 @@ noncentrality separating two regimes: the density is decreasing for
 lam <= critical and bimodal (one mode at zero, one interior) above it.  The
 critical value is the unique zero of a scalar indicator built from the
 Bessel ratio, and the zero is bracketed and bisected here.
+
+Every solver in the package (the critical noncentrality, the inflection
+point, the interior mode and the antimode) finds a single sign change the
+same way: :func:`_step` grows or shrinks a start point until the function
+has the wanted sign, and :func:`_bisect` halves the bracket until
+``hi - lo <= max(xtol, rtol * hi)``, raising :class:`ConvergenceError` once
+a midpoint no longer splits the interval.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .bessel import bessel_ratio
 from .density import Params, log_density_d2
@@ -31,7 +38,7 @@ class CriticalLambda:
     """Critical noncentrality for 0 < nu < 2, with solver metadata.
 
     ``bracket`` is the initial sign-changing interval handed to bisection;
-    ``iterations`` counts the bisection steps to reach width < ``tol``.
+    ``iterations`` counts the halvings until ``hi - lo <= tol``.
     """
 
     nu: float
@@ -75,36 +82,56 @@ def criticality_indicator(nu: float, lam: float) -> float:
     return bessel_ratio(0.5 * nu, t) - (lam - 2.0) / t
 
 
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tolerance must be finite and > 0, got {tol}")
+
+
+def _step(f, x: float, factor: float, stop: float, sign: float, error: str) -> float:
+    """Scale ``x`` by ``factor`` until ``sign * f(x) > 0``.
+
+    Raises :class:`BracketError` with ``error`` once ``x`` moves past ``stop``.
+    """
+    while not sign * f(x) > 0.0:
+        x *= factor
+        if x < stop if factor < 1.0 else x > stop:
+            raise BracketError(f"{error} (search stopped at {x!r})")
+    return x
+
+
+def _bisect(f, lo: float, hi: float, xtol: float, rtol: float) -> tuple[float, int]:
+    """Midpoint and halving count for the sign change of ``f`` in [lo, hi].
+
+    ``f`` is positive at ``lo`` and not positive at ``hi``.  Halving stops
+    once ``hi - lo <= max(xtol, rtol * hi)``.
+    """
+    halvings = 0
+    while hi - lo > max(xtol, rtol * hi):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            raise ConvergenceError(f"bisection cannot split [{lo!r}, {hi!r}] to the tolerance")
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        halvings += 1
+    return 0.5 * (lo + hi), halvings
+
+
 @lru_cache(maxsize=None)
 def _critical_lambda_cached(nu: float, tol: float) -> CriticalLambda:
     edge = 4.0 - nu
     # The indicator falls to -inf at the domain edge; shrink the offset until
     # a negative value is seen.  Near nu = 2 the root sits within ~1e-3 of
     # the edge, so several shrink steps can be needed.
-    delta = 1e-2
-    while criticality_indicator(nu, edge + delta) >= 0.0:
-        delta *= 0.1
-        if delta < 1e-14:
-            raise BracketError(f"no negative indicator value found near lam = {edge}")
+    delta = _step(lambda d: criticality_indicator(nu, edge + d), 1e-2, 0.1, 1e-14, -1.0,
+                  f"no negative indicator value found at offsets above lam = {edge}")
     lo = edge + delta
-    hi = max(8.0, edge + 1.0)
-    while criticality_indicator(nu, hi) <= 0.0:
-        hi *= 2.0
-        if hi > 1e9:
-            raise BracketError(f"no positive indicator value found up to lam = {hi}")
-    bracket = (lo, hi)
-    iterations = 0
-    while hi - lo >= tol:
-        mid = 0.5 * (lo + hi)
-        if criticality_indicator(nu, mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
-        if iterations > 20_000:
-            raise ConvergenceError(f"bisection stalled for critical noncentrality at nu={nu}")
+    hi = _step(lambda lam: criticality_indicator(nu, lam), max(8.0, edge + 1.0), 2.0, 1e9, 1.0,
+               f"no positive indicator value found at nu={nu}")
+    lambda_nu, iterations = _bisect(lambda lam: -criticality_indicator(nu, lam), lo, hi, tol, 0.0)
     return CriticalLambda(
-        nu=nu, lambda_nu=0.5 * (lo + hi), bracket=bracket, tol=tol, iterations=iterations
+        nu=nu, lambda_nu=lambda_nu, bracket=(lo, hi), tol=tol, iterations=iterations
     )
 
 
@@ -121,8 +148,7 @@ def critical_lambda(nu: float, tol: float = DEFAULT_TOL) -> CriticalLambda:
     """
     if math.isnan(nu) or not 0.0 < nu < 2.0:
         raise DomainError(f"critical noncentrality is defined for 0 < nu < 2, got {nu}")
-    if math.isnan(tol) or tol <= 0.0:
-        raise DomainError(f"tolerance must be > 0, got {tol}")
+    _check_tol(tol)
     return _critical_lambda_cached(float(nu), float(tol))
 
 
@@ -173,20 +199,7 @@ def inflection_point(p: Params) -> float:
         raise DomainError(f"inflection point requires 0 < nu < 2, got nu={nu}")
     if lam <= 0.0:
         raise DomainError("inflection point requires lam > 0")
-    hi = max(1.0, lam + nu)
-    while log_density_d2(p, hi) >= 0.0:
-        hi *= 2.0
-        if hi > 1e15:
-            raise BracketError("no log-concave region found at large x")
-    lo = min(1.0, 0.5 * hi)
-    while log_density_d2(p, lo) <= 0.0:
-        lo *= 0.25
-        if lo < 1e-280:
-            raise BracketError("no log-convex region found at small x")
-    while hi - lo > _INFLECTION_REL_TOL * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if log_density_d2(p, mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    d2 = partial(log_density_d2, p)
+    hi = _step(d2, max(1.0, lam + nu), 2.0, 1e15, -1.0, "no log-concave region found at large x")
+    lo = _step(d2, min(1.0, 0.5 * hi), 0.25, 1e-280, 1.0, "no log-convex region found at small x")
+    return _bisect(d2, lo, hi, _INFLECTION_REL_TOL, _INFLECTION_REL_TOL)[0]

@@ -4,9 +4,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ncx2shape
 from ncx2shape import Params, critical_lambda, density_bessel
 from ncx2shape.cli import main
 from ncx2shape.errors import BracketError
@@ -28,6 +33,14 @@ def run_csv(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     return list(csv.reader(io.StringIO(out)))
+
+
+def run_child(*argv):
+    """Exit code of the CLI in a child process, which a runaway solver cannot hang."""
+    env = dict(os.environ, PYTHONPATH=str(Path(ncx2shape.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-m", "ncx2shape.cli", *argv],
+                          capture_output=True, text=True, timeout=60, env=env)
+    return done.returncode
 
 
 class TestEval:
@@ -131,6 +144,9 @@ class TestCriticalTable:
         assert run_cli(capsys, "critical-table", "--nu", "3")[0] == 2
         assert run_cli(capsys, "critical-table", "--nu", "0")[0] == 2
 
+    def test_rejects_infinite_tolerance(self):
+        assert run_child("critical-table", "--nu", "1", "--tol", "inf") == 2
+
 
 class TestModes:
     def test_log_concave(self, capsys):
@@ -150,6 +166,10 @@ class TestModes:
         assert payload["zero_is_mode"] is True
         assert payload["interior_mode"] is None
         assert payload["bounds_lower"] is None
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_rejects_bad_tolerance(self, tol):
+        assert run_child("modes", "--nu", "4", "--lambda", "5", "--tol", tol) == 2
 
 
 class TestEnvelope:

@@ -5,10 +5,16 @@ with mpmath.findroot on the closed-form slope at 40 digits.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ncx2shape
+import ncx2shape.modes as modes_module
 from ncx2shape import (
     DomainError,
     Params,
@@ -24,7 +30,6 @@ from ncx2shape import (
     mode_bound_indicator,
     mode_bound_indicator_limits,
     mode_bounds,
-    mode_monotonicity_probe,
     mode_report,
 )
 
@@ -146,20 +151,60 @@ class TestModeReport:
         assert mode_report(Params(nu=2, lam=2)).zero_is_mode
         assert not mode_report(Params(nu=2, lam=2.5)).zero_is_mode
 
+    def test_bimodal_report_solves_each_root_once(self, monkeypatch):
+        calls = {"inflection_point": 0, "critical_lambda": 0}
+
+        def counted(name):
+            original = getattr(modes_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(modes_module, name, counted(name))
+        rep = mode_report(Params(nu=1, lam=5))
+        assert rep.interior_mode is not None and rep.antimode is not None
+        assert calls["inflection_point"] == 1
+        assert calls["critical_lambda"] <= 1
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_tolerance_in_every_regime(self, tol):
+        # The regime without an interior mode comes first: the check must
+        # run before any solver work.
+        for p in (Params(nu=1, lam=1), Params(nu=1, lam=5), Params(nu=4, lam=5)):
+            with pytest.raises(DomainError):
+                mode_report(p, tol=tol)
+
+    def test_unreachable_tolerance_raises_quickly(self):
+        # Run in a child process so that a solver which never stops fails
+        # the test on its timeout instead of hanging the suite.
+        code = (
+            "import time\n"
+            "from ncx2shape import ConvergenceError, Params, mode_report\n"
+            "start = time.perf_counter()\n"
+            "try:\n"
+            "    mode_report(Params(nu=4, lam=5), tol=1e-20)\n"
+            "except ConvergenceError:\n"
+            "    print(time.perf_counter() - start)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(ncx2shape.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env=env)
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout) < 1.0
+
 
 class TestMonotonicity:
     def test_log_concave_ladder(self):
-        modes = mode_monotonicity_probe(4.0, [0.0, 1.0, 2.0, 4.0, 8.0])
+        modes = [interior_mode(Params(nu=4.0, lam=lam)) for lam in (0.0, 1.0, 2.0, 4.0, 8.0)]
         assert abs(modes[0] - 2.0) < 1e-9
         assert all(a < b for a, b in zip(modes, modes[1:]))
 
     def test_bimodal_ladder(self):
-        modes = mode_monotonicity_probe(1.0, [4.5, 5.0, 6.0, 10.0])
+        modes = [interior_mode(Params(nu=1.0, lam=lam)) for lam in (4.5, 5.0, 6.0, 10.0)]
         assert all(a < b for a, b in zip(modes, modes[1:]))
-
-    def test_error_on_missing_mode(self):
-        with pytest.raises(DomainError):
-            mode_monotonicity_probe(1.0, [4.0, 5.0])
 
     def test_large_lambda_asymptote(self):
         # interior mode approaches lam + nu - 3 from the side set by nu
