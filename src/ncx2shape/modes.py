@@ -15,8 +15,8 @@ between zero and the inflection point of the log density.
 
 Both roots are bisected on the slope by the solver shared with
 :mod:`ncx2shape.shape`, until the bracket width is at most
-``tol * max(1, hi)``.  :func:`mode_report` solves them together, so the
-inflection point and the critical noncentrality are computed once per call.
+``tol * max(1, hi)``.  :func:`mode_report` solves them together, split at
+the inflection point ``tau**2 / lam`` of the cached entry that decides existence.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from .bessel import bessel_ratio
 from .density import Params, log_density_d1
 from .errors import DomainError
-from .shape import _bisect, _check_tol, _step, critical_lambda, inflection_point
+from .shape import _bisect, _check_tol, _step, critical_lambda
 
 # Position tolerance (relative) for the bisection solvers.
 DEFAULT_TOL = 1e-10
@@ -141,7 +141,7 @@ def mode_report(p: Params, tol: float = DEFAULT_TOL) -> ModeReport:
         lo0 = max((nu - 2.0) * (1.0 + lam / nu), 0.0)
         lo = max(lo0 - _BRACKET_PAD * max(1.0, abs(lo0)), 1e-12)
     else:
-        lo = x_tilde = inflection_point(p)
+        lo = x_tilde = critical_lambda(nu).tau ** 2 / lam
     # Each end of the mode bracket gets 200 evaluations to find its sign.
     lo = _step(slope, lo, 0.5, lo * 0.5**199, 1.0, "no positive slope found left of the mode")
     hi = upper + _BRACKET_PAD * max(1.0, upper)

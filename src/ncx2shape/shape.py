@@ -2,26 +2,29 @@
 
 For nu >= 2 the density is log-concave.  For 0 < nu < 2 there is a critical
 noncentrality separating two regimes: the density is decreasing for
-lam <= critical and bimodal (one mode at zero, one interior) above it.  The
-critical value is the unique zero of a scalar indicator built from the
-Bessel ratio, and the zero is bracketed and bisected here.
+lam <= critical and bimodal (one mode at zero, one interior) above it.
 
-Every solver in the package (the critical noncentrality, the inflection
-point, the interior mode and the antimode) finds a single sign change the
-same way: :func:`_step` grows or shrinks a start point until the function
-has the wanted sign, and :func:`_bisect` halves the bracket until
-``hi - lo <= max(xtol, rtol * hi)``, raising :class:`ConvergenceError` once
-a midpoint no longer splits the interval.
+Both come from one root per nu: with t = sqrt(lam x) and r = r_{nu/2}(t),
+x^2 l''(x) = g_nu(t) = (2 - nu)/2 + t^2 (1 - r^2)/4 - nu t r/4.  Its zero
+tau gives the inflection point tau^2 / lam, where the slope peaks, so the
+density is bimodal iff lam > lambda_nu = F(tau) = min_t F(t), with
+F(t) = t^2 / (t r(t) + nu - 2).  The paper's indicator is a cross-check.
+
+Every solver in the package (tau, the interior mode and the antimode)
+finds a single sign change the same way: :func:`_step` grows or shrinks a
+start point until the function has the wanted sign, and :func:`_bisect`
+halves the bracket until ``hi - lo <= max(xtol, rtol * hi)``, raising
+:class:`ConvergenceError` once a midpoint no longer splits the interval.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .bessel import bessel_ratio
-from .density import Params, log_density_d2
+from .density import LAMBDA_ZERO, Params, log_density_d2
 from .errors import BracketError, ConvergenceError, DomainError
 
 DEFAULT_TOL = 1e-8
@@ -37,13 +40,13 @@ _INFLECTION_REL_TOL = 1e-10
 class CriticalLambda:
     """Critical noncentrality for 0 < nu < 2, with solver metadata.
 
-    ``bracket`` is the initial sign-changing interval handed to bisection;
-    ``iterations`` counts the halvings until ``hi - lo <= tol``.
+    ``tau`` is the zero of g_nu (the inflection point is ``tau**2 / lam``);
+    ``iterations`` counts the halvings in t to relative width ``tol``.
     """
 
     nu: float
     lambda_nu: float
-    bracket: tuple[float, float]
+    tau: float
     tol: float
     iterations: int
 
@@ -118,29 +121,28 @@ def _bisect(f, lo: float, hi: float, xtol: float, rtol: float) -> tuple[float, i
     return 0.5 * (lo + hi), halvings
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _critical_lambda_cached(nu: float, tol: float) -> CriticalLambda:
-    edge = 4.0 - nu
-    # The indicator falls to -inf at the domain edge; shrink the offset until
-    # a negative value is seen.  Near nu = 2 the root sits within ~1e-3 of
-    # the edge, so several shrink steps can be needed.
-    delta = _step(lambda d: criticality_indicator(nu, edge + d), 1e-2, 0.1, 1e-14, -1.0,
-                  f"no negative indicator value found at offsets above lam = {edge}")
-    lo = edge + delta
-    hi = _step(lambda lam: criticality_indicator(nu, lam), max(8.0, edge + 1.0), 2.0, 1e9, 1.0,
-               f"no positive indicator value found at nu={nu}")
-    lambda_nu, iterations = _bisect(lambda lam: -criticality_indicator(nu, lam), lo, hi, tol, 0.0)
-    return CriticalLambda(
-        nu=nu, lambda_nu=lambda_nu, bracket=(lo, hi), tol=tol, iterations=iterations
-    )
+    mu = 0.5 * nu
+
+    def g(t: float) -> float:
+        r = bessel_ratio(mu, t)
+        return 0.5 * (2.0 - nu) + 0.25 * t * t * (1.0 - r * r) - 0.25 * nu * t * r
+
+    # g_nu(0+) = (2 - nu)/2 > 0, and g_nu falls like -t/4 for large t.
+    hi = _step(g, 1.0, 2.0, 1e3, -1.0, f"no negative g_nu found at nu={nu}")
+    tau, iterations = _bisect(g, 0.0, hi, 0.0, tol)
+    # nu - 2.0 is exact; adding tau r to nu first would cancel near nu = 2.
+    lambda_nu = tau * tau / (tau * bessel_ratio(mu, tau) + (nu - 2.0))
+    return CriticalLambda(nu=nu, lambda_nu=lambda_nu, tau=tau, tol=tol, iterations=iterations)
 
 
 def critical_lambda(nu: float, tol: float = DEFAULT_TOL) -> CriticalLambda:
-    """Critical noncentrality for 0 < nu < 2, by guarded bisection.
+    """Critical noncentrality for 0 < nu < 2, from the zero tau of g_nu.
 
-    The single sign change of :func:`criticality_indicator` makes bisection
-    globally convergent.  Results are cached per (nu, tol) for the life of
-    the process; the cache is thread-safe and semantically invisible.
+    tau is bisected to relative ``tol``; F is stationary there, so lambda_nu
+    = F(tau) carries only the square of that error.  Results are kept per
+    (nu, tol) in a bounded, thread-safe, semantically invisible cache.
 
     Values near the endpoints converge slowly in nu (the critical value
     approaches 4 as nu drops to 0 and 2 as nu rises to 2) but are still
@@ -160,6 +162,7 @@ def classify(p: Params, tol: float = DEFAULT_TOL) -> ShapeReport:
     * for nu <= 2: decreasing when lam is at most the critical value
       (taken as 2 at nu = 2), bimodal above it (nu < 2 only).
     """
+    _check_tol(tol)
     nu, lam = p.nu, p.lam
     log_concave = nu >= 2.0
     convex_then_concave = nu < 2.0 and lam > 0.0
@@ -189,17 +192,14 @@ def classify(p: Params, tol: float = DEFAULT_TOL) -> ShapeReport:
 def inflection_point(p: Params) -> float:
     """Unique zero of the log-density second derivative, for 0 < nu < 2, lam > 0.
 
-    The second derivative is positive for small x and negative for large x
-    with a single sign change, so the bracket search (shrink the left end
-    until positive, grow the right end until negative) cannot fail unless a
-    lower layer is broken.
+    It is tau**2 / lam, with tau solved to 1e-10; one public l'' call there
+    runs the self-check at the reported point.
     """
     nu, lam = p.nu, p.lam
     if not 0.0 < nu < 2.0:
         raise DomainError(f"inflection point requires 0 < nu < 2, got nu={nu}")
-    if lam <= 0.0:
-        raise DomainError("inflection point requires lam > 0")
-    d2 = partial(log_density_d2, p)
-    hi = _step(d2, max(1.0, lam + nu), 2.0, 1e15, -1.0, "no log-concave region found at large x")
-    lo = _step(d2, min(1.0, 0.5 * hi), 0.25, 1e-280, 1.0, "no log-convex region found at small x")
-    return _bisect(d2, lo, hi, _INFLECTION_REL_TOL, _INFLECTION_REL_TOL)[0]
+    if lam < LAMBDA_ZERO:
+        raise DomainError(f"inflection point requires lam >= {LAMBDA_ZERO}, got lam={lam}")
+    x = critical_lambda(nu, _INFLECTION_REL_TOL).tau ** 2 / lam
+    log_density_d2(p, x)
+    return x

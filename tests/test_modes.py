@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 
 import ncx2shape
-import ncx2shape.modes as modes_module
+import ncx2shape.shape as shape_module
 from ncx2shape import (
     DomainError,
     Params,
     antimode,
+    classify,
     critical_lambda,
     grid_local_maxima,
     GridSpec,
@@ -152,22 +153,26 @@ class TestModeReport:
         assert not mode_report(Params(nu=2, lam=2.5)).zero_is_mode
 
     def test_bimodal_report_solves_each_root_once(self, monkeypatch):
-        calls = {"inflection_point": 0, "critical_lambda": 0}
+        # One bisection in t serves the existence test and the inflection
+        # point.  modes binds _bisect at import, so its mode and antimode
+        # bisections are not counted here.
+        calls = []
+        original = shape_module._bisect
 
-        def counted(name):
-            original = getattr(modes_module, name)
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
 
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(modes_module, name, counted(name))
+        monkeypatch.setattr(shape_module, "_bisect", counted)
+        shape_module._critical_lambda_cached.cache_clear()
         rep = mode_report(Params(nu=1, lam=5))
         assert rep.interior_mode is not None and rep.antimode is not None
-        assert calls["inflection_point"] == 1
-        assert calls["critical_lambda"] <= 1
+        assert len(calls) == 1
+        shape_module._critical_lambda_cached.cache_clear()
+        classify(Params(nu=1, lam=5))
+        calls.clear()
+        mode_report(Params(nu=1, lam=5))
+        assert calls == []
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_tolerance_in_every_regime(self, tol):

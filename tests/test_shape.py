@@ -2,7 +2,8 @@
 
 Twelve-digit reference roots were computed independently (mpmath bisection
 on the indicator at 50 digits, cross-checked with scipy.brentq on
-scipy.special.ive ratios) and are frozen below.
+scipy.special.ive ratios) and are frozen below, together with twenty-digit
+mpmath roots taken at 50 digits at the double nu.
 """
 
 import math
@@ -15,14 +16,18 @@ from ncx2shape import (
     DomainError,
     Params,
     antimode,
+    bessel_ratio,
     classify,
     critical_lambda,
     criticality_indicator,
+    has_interior_mode,
     inflection_point,
     interior_mode,
     log_density_d2,
     log_density_d3,
+    mode_report,
 )
+from ncx2shape.shape import _critical_lambda_cached
 
 # nu -> independently computed critical noncentrality
 REFERENCE_ROOTS = {
@@ -34,6 +39,16 @@ REFERENCE_ROOTS = {
     1.5: 3.54782582371,
     1.75: 3.07287093683,
 }
+# nu -> mpmath root of the indicator at 50 digits, at the double nu
+MPMATH_ROOTS = {
+    0.25: 4.7688408495999250174,
+    0.5: 4.6613846684201665875,
+    0.75: 4.4666340468416344609,
+    1.0: 4.2165617748982943825,
+    1.25: 3.9144302855186483228,
+    1.5: 3.5478258237071693399,
+    1.75: 3.0728709368261620671,
+}
 ROOT_NEAR_ZERO_DOF = 4.02276269755   # nu = 1e-6
 ROOT_NEAR_TWO_DOF = 2.00200033326    # nu = 2 - 1e-6
 
@@ -42,6 +57,17 @@ TABLE_ROOTS = {
     0.25: 4.769, 0.5: 4.661, 0.75: 4.467, 1.0: 4.217,
     1.25: 3.914, 1.5: 3.548, 1.75: 3.073,
 }
+
+
+def g_nu(nu, t):
+    """x^2 l''(x) as a function of t = sqrt(lam x)."""
+    r = bessel_ratio(0.5 * nu, t)
+    return (2.0 - nu) / 2.0 + t * t * (1.0 - r * r) / 4.0 - nu * t * r / 4.0
+
+
+def big_f(nu, t):
+    """Noncentrality at which t^2 / lam is a stationary point of the density."""
+    return t * t / (t * bessel_ratio(0.5 * nu, t) + (nu - 2.0))
 
 
 class TestCriticalityIndicator:
@@ -109,15 +135,29 @@ class TestCriticalLambda:
 
     def test_metadata(self):
         res = critical_lambda(1.0, tol=1e-8)
-        lo, hi = res.bracket
-        assert lo < res.lambda_nu < hi
+        assert g_nu(1.0, res.tau * (1.0 - 1e-7)) > 0.0 > g_nu(1.0, res.tau * (1.0 + 1e-7))
+        assert inflection_point(Params(1, 5)) == critical_lambda(1.0, 1e-10).tau ** 2 / 5
         assert res.iterations > 0
         assert res.tol == 1e-8
+
+    @pytest.mark.parametrize("nu,ref", sorted(MPMATH_ROOTS.items()))
+    def test_error_far_below_tolerance(self, nu, ref):
+        # lambda_nu = F(tau) is stationary in tau: the error is second order.
+        assert abs(critical_lambda(nu, tol=1e-8).lambda_nu - ref) <= 1e-12
+
+    @pytest.mark.parametrize("nu", [0.25, 1.0, 1.75])
+    def test_lambda_nu_is_minimum_of_f(self, nu):
+        res = critical_lambda(nu, tol=1e-10)
+        assert big_f(nu, res.tau * (1.0 - 1e-3)) > res.lambda_nu
+        assert big_f(nu, res.tau * (1.0 + 1e-3)) > res.lambda_nu
 
     def test_cache_returns_identical_result(self):
         a = critical_lambda(0.77, tol=1e-9)
         b = critical_lambda(0.77, tol=1e-9)
         assert a is b
+
+    def test_cache_is_bounded(self):
+        assert _critical_lambda_cached.cache_info().maxsize is not None
 
     def test_thread_safety(self):
         def solve(nu):
@@ -171,6 +211,21 @@ class TestClassify:
         flags = [classify(Params(nu=nu, lam=lam)).bimodal for lam in np.linspace(0.0, 12.0, 40)]
         assert sorted(flags) == flags  # False..False True..True
 
+    def test_rejects_bad_tolerance_in_every_regime(self):
+        with pytest.raises(DomainError):
+            classify(Params(4, 5), tol=-1.0)
+        with pytest.raises(DomainError):
+            classify(Params(2, 1), tol=float("nan"))
+
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    @pytest.mark.parametrize("nu,root", sorted(MPMATH_ROOTS.items()))
+    def test_band_near_critical(self, nu, root, sign):
+        p = Params(nu, root * (1.0 + sign * 1e-10))
+        bimodal = sign > 0.0
+        assert classify(p).bimodal == bimodal
+        assert has_interior_mode(p) == bimodal
+        assert (mode_report(p).interior_mode is not None) == bimodal
+
     def test_exclusive_flags_below_two_dof(self):
         for nu in (0.3, 1.0, 1.8):
             for lam in (0.0, 2.0, 4.5, 9.0):
@@ -193,6 +248,19 @@ class TestInflectionPoint:
         p = Params(nu=1, lam=5)
         assert antimode(p) < inflection_point(p) < interior_mode(p)
 
+    @pytest.mark.parametrize("nu", [0.25, 1.0, 1.75])
+    def test_scales_as_one_over_lambda(self, nu):
+        scaled = [inflection_point(Params(nu, lam)) * lam for lam in (0.3, 5.0, 300.0)]
+        for value in scaled[1:]:
+            assert abs(value - scaled[0]) <= 1e-9 * scaled[0]
+
+    @pytest.mark.parametrize("nu,lam,x", [(0.25, 5.0, 0.7), (1.0, 5.0, 1.02594157537),
+                                          (1.0, 0.3, 40.0), (1.75, 300.0, 0.002)])
+    def test_x2_d2_is_g_of_t(self, nu, lam, x):
+        got = x * x * log_density_d2(Params(nu, lam), x)
+        want = g_nu(nu, math.sqrt(lam * x))
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
     def test_near_two_dof(self):
         p = Params(nu=1.999, lam=1)
         x = inflection_point(p)
@@ -204,3 +272,5 @@ class TestInflectionPoint:
             inflection_point(Params(nu=3, lam=5))
         with pytest.raises(DomainError):
             inflection_point(Params(nu=1, lam=0))
+        with pytest.raises(DomainError):
+            inflection_point(Params(nu=1, lam=1e-310))  # tau^2 / lam overflows
