@@ -17,7 +17,7 @@ PUBLISHED = {0.25: 4.769, 0.5: 4.661, 0.75: 4.467, 1.0: 4.217,
 
 
 def main():
-    print("threshold scan (tau bisected to 1e-10 relative):")
+    print("threshold scan (tau solved to 1e-10 relative):")
     print(f"{'nu':>6} {'threshold':>12} {'iterations':>11} {'published':>10}")
     for nu in np.arange(0.1, 2.0, 0.1):
         res = critical_lambda(round(float(nu), 10), tol=1e-10)

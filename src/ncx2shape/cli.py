@@ -31,6 +31,7 @@ from .density import (
     log_density_d2,
 )
 from .errors import BracketError, ConvergenceError, DomainError, InternalConsistencyError
+from .modes import DEFAULT_TOL as MODE_TOL
 from .modes import mode_report
 from .oracle import GridSpec
 from .shape import DEFAULT_TOL, classify, critical_lambda
@@ -75,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mod = sub.add_parser("modes", help="mode report with bounds")
     p_mod.add_argument("--nu", type=float, required=True)
     p_mod.add_argument("--lambda", dest="lam", type=float, required=True)
-    p_mod.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p_mod.add_argument("--tol", type=float, default=MODE_TOL)
     _add_format(p_mod)
 
     return parser

@@ -13,10 +13,12 @@ unique zero of the log-density slope inside a provable bracket:
 In the bimodal regime the density also has a local minimum (antimode)
 between zero and the inflection point of the log density.
 
-Both roots are bisected on the slope by the solver shared with
-:mod:`ncx2shape.shape`, until the bracket width is at most
-``tol * max(1, hi)``.  :func:`mode_report` solves them together, split at
-the inflection point ``tau**2 / lam`` of the cached entry that decides existence.
+Both roots are zeros of the slope l', found by the root-finder shared with
+:mod:`ncx2shape.shape` (Newton steps on l' and l'' from one Bessel ratio,
+kept inside a bracket whose ends are checked on l') until the bracket width
+is at most ``tol * max(1, hi)``.  :func:`mode_report` solves them together,
+split at the inflection point ``tau**2 / lam`` of the cached entry that
+decides existence.
 """
 
 from __future__ import annotations
@@ -28,11 +30,11 @@ from functools import partial
 import numpy as np
 
 from .bessel import bessel_ratio
-from .density import Params, log_density_d1
+from .density import Params, _log_density_d1_d2, log_density_d1
 from .errors import DomainError
 from .shape import _bisect, _check_tol, _step, critical_lambda
 
-# Position tolerance (relative) for the bisection solvers.
+# Position tolerance (relative) for the mode and antimode solvers.
 DEFAULT_TOL = 1e-10
 
 # Provenance of the binding lower bound in a ModeReport.
@@ -137,20 +139,29 @@ def mode_report(p: Params, tol: float = DEFAULT_TOL) -> ModeReport:
         )
     lower, upper, source = _bounds_with_source(nu, lam)
     slope = partial(log_density_d1, p)
+    slope_curvature = partial(_log_density_d1_d2, p)
     if nu >= 2.0:
         lo0 = max((nu - 2.0) * (1.0 + lam / nu), 0.0)
         lo = max(lo0 - _BRACKET_PAD * max(1.0, abs(lo0)), 1e-12)
+        start = 0.5 * (lower + upper)
     else:
         lo = x_tilde = critical_lambda(nu).tau ** 2 / lam
+        # The mode lies just below lam + nu - 3 (by about (3 - nu) / (2 lam)).
+        start = upper
     # Each end of the mode bracket gets 200 evaluations to find its sign.
     lo = _step(slope, lo, 0.5, lo * 0.5**199, 1.0, "no positive slope found left of the mode")
     hi = upper + _BRACKET_PAD * max(1.0, upper)
     hi = _step(slope, hi, 2.0, hi * 2.0**199, -1.0, "no negative slope found right of the mode")
-    mode = _bisect(slope, lo, hi, tol, tol)[0]
+    mode = _bisect(slope_curvature, lo, hi, tol, tol, start)[0]
     anti = None
     if nu < 2.0:
         lo = _step(slope, 0.5 * x_tilde, 0.25, 1e-280, -1.0, "no negative slope found near zero")
-        anti = _bisect(lambda x: -slope(x), lo, x_tilde, tol, tol)[0]
+
+        def negated(x: float) -> tuple[float, float]:
+            d1, d2 = slope_curvature(x)
+            return -d1, -d2
+
+        anti = _bisect(negated, lo, x_tilde, tol, tol)[0]
     return ModeReport(
         params=p,
         zero_is_mode=zero_is_mode,

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .density import Params, density_series, density_series_grid
 from .errors import ConvergenceError, DomainError
@@ -101,6 +100,10 @@ def adaptive_quadrature(p: Params, moment: int) -> float:
     p(x) x^(1 - nu/2) is what gets sampled); the remainder uses plain
     adaptive subdivision on [1, inf).
     """
+    # Imported here: scipy.integrate is ~26 MB and a third of a second that
+    # nothing outside the quadrature needs.
+    from scipy import integrate
+
     if moment not in (0, 1):
         raise DomainError(f"moment must be 0 or 1, got {moment}")
     nu = p.nu

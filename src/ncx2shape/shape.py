@@ -13,8 +13,9 @@ F(t) = t^2 / (t r(t) + nu - 2).  The paper's indicator is a cross-check.
 Every solver in the package (tau, the interior mode and the antimode)
 finds a single sign change the same way: :func:`_step` grows or shrinks a
 start point until the function has the wanted sign, and :func:`_bisect`
-halves the bracket until ``hi - lo <= max(xtol, rtol * hi)``, raising
-:class:`ConvergenceError` once a midpoint no longer splits the interval.
+narrows the bracket by Newton steps kept inside it, falling back to
+halving, until ``hi - lo <= max(xtol, rtol * hi)``.  Each function hands
+the solver its value and derivative from one Bessel ratio.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ class CriticalLambda:
     """Critical noncentrality for 0 < nu < 2, with solver metadata.
 
     ``tau`` is the zero of g_nu (the inflection point is ``tau**2 / lam``);
-    ``iterations`` counts the halvings in t to relative width ``tol``.
+    ``iterations`` counts the evaluations of g_nu that solved tau to
+    relative width ``tol`` (Newton steps, halvings and the closing pair).
     """
 
     nu: float
@@ -102,36 +104,88 @@ def _step(f, x: float, factor: float, stop: float, sign: float, error: str) -> f
     return x
 
 
-def _bisect(f, lo: float, hi: float, xtol: float, rtol: float) -> tuple[float, int]:
-    """Midpoint and halving count for the sign change of ``f`` in [lo, hi].
+def _bisect(f, lo: float, hi: float, xtol: float, rtol: float,
+            x: float | None = None) -> tuple[float, int]:
+    """Midpoint of the final bracket around the sign change of ``f``, and the evaluation count.
 
-    ``f`` is positive at ``lo`` and not positive at ``hi``.  Halving stops
-    once ``hi - lo <= max(xtol, rtol * hi)``.
+    ``f(x)`` returns ``(value, derivative)``.  The value is positive at
+    ``lo`` and not positive at ``hi``; neither end is evaluated.  Every
+    evaluated point becomes the new ``lo`` or ``hi``, starting from ``x``
+    (default: the midpoint).  The next point is the Newton step from the
+    last one when it stays in the bracket and is at most half the previous
+    step (rtsafe, *Numerical Recipes* 9.4), and the midpoint otherwise.  A
+    Newton step shorter than half the stop width ``w = max(xtol, rtol * x)``
+    closes the bracket instead: ``f`` is evaluated ``w/4`` beyond the Newton
+    point, then ``w/4`` short of it, and when the first of these lands on
+    the side of the last point the next step is the midpoint.  Evaluations
+    other than halvings are capped at the number of halvings the bracket
+    needs, so a derivative that is wrong, zero or NaN at most doubles the
+    cost of plain bisection.  Returns once ``hi - lo <= max(xtol, rtol *
+    hi)``, so the answer always lies within half that width of a sign
+    change; raises :class:`ConvergenceError` once a midpoint no longer
+    splits the bracket.
     """
-    halvings = 0
+    evals = 0
+    last = hi - lo
+    # Evaluations other than halvings may number as many as halving alone needs.
+    spare = math.log2((hi - lo) / max(xtol, rtol * hi))
+    if x is None:
+        x = 0.5 * (lo + hi)
+    else:
+        spare -= 1
     while hi - lo > max(xtol, rtol * hi):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            raise ConvergenceError(f"bisection cannot split [{lo!r}, {hi!r}] to the tolerance")
-        if f(mid) > 0.0:
-            lo = mid
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                raise ConvergenceError(f"bisection cannot split [{lo!r}, {hi!r}] to the tolerance")
+        value, slope = f(x)
+        evals += 1
+        positive = value > 0.0
+        if positive:
+            lo = x
         else:
-            hi = mid
-        halvings += 1
-    return 0.5 * (lo + hi), halvings
+            hi = x
+        new = x - value / slope if slope else math.nan
+        if spare > 0.0 and lo <= new <= hi and abs(new - x) <= 0.5 * last:
+            spare -= 1
+            h = 0.25 * max(xtol, rtol * new)
+            if abs(new - x) < 2.0 * h:
+                beyond = math.copysign(h, new - x)
+                for y in (new + beyond, new - beyond):
+                    if lo < y < hi:
+                        evals += 1
+                        y_positive = f(y)[0] > 0.0
+                        if y_positive:
+                            lo = y
+                        else:
+                            hi = y
+                        if y_positive == positive:
+                            break
+                new = 0.5 * (lo + hi)
+        else:
+            new = 0.5 * (lo + hi)
+        last = abs(new - x)
+        x = new
+    return 0.5 * (lo + hi), evals
 
 
 @lru_cache(maxsize=1024)
 def _critical_lambda_cached(nu: float, tol: float) -> CriticalLambda:
     mu = 0.5 * nu
 
-    def g(t: float) -> float:
+    def g(t: float) -> tuple[float, float]:
         r = bessel_ratio(mu, t)
-        return 0.5 * (2.0 - nu) + 0.25 * t * t * (1.0 - r * r) - 0.25 * nu * t * r
+        dr = 1.0 - (nu - 1.0) * r / t - r * r
+        value = 0.5 * (2.0 - nu) + 0.25 * t * t * (1.0 - r * r) - 0.25 * nu * t * r
+        slope = 0.5 * t * (1.0 - r * r) - 0.5 * t * t * r * dr - 0.25 * nu * (r + t * dr)
+        return value, slope
 
+    # tau ~ 2 (12 nu)^(1/6) as nu -> 0 and ~ 2 (2 - nu)^(1/4) as nu -> 2; the
+    # smaller of the two is within 15% of tau on all of (0, 2).
+    start = 2.0 * min((12.0 * nu) ** (1.0 / 6.0), (2.0 - nu) ** 0.25)
     # g_nu(0+) = (2 - nu)/2 > 0, and g_nu falls like -t/4 for large t.
-    hi = _step(g, 1.0, 2.0, 1e3, -1.0, f"no negative g_nu found at nu={nu}")
-    tau, iterations = _bisect(g, 0.0, hi, 0.0, tol)
+    hi = _step(lambda t: g(t)[0], 1.25 * start, 2.0, 1e3, -1.0, f"no negative g_nu found at nu={nu}")
+    tau, iterations = _bisect(g, 0.0, hi, 0.0, tol, start)
     # nu - 2.0 is exact; adding tau r to nu first would cancel near nu = 2.
     lambda_nu = tau * tau / (tau * bessel_ratio(mu, tau) + (nu - 2.0))
     return CriticalLambda(nu=nu, lambda_nu=lambda_nu, tau=tau, tol=tol, iterations=iterations)
@@ -140,7 +194,7 @@ def _critical_lambda_cached(nu: float, tol: float) -> CriticalLambda:
 def critical_lambda(nu: float, tol: float = DEFAULT_TOL) -> CriticalLambda:
     """Critical noncentrality for 0 < nu < 2, from the zero tau of g_nu.
 
-    tau is bisected to relative ``tol``; F is stationary there, so lambda_nu
+    tau is solved to relative ``tol``; F is stationary there, so lambda_nu
     = F(tau) carries only the square of that error.  Results are kept per
     (nu, tol) in a bounded, thread-safe, semantically invisible cache.
 

@@ -27,7 +27,8 @@ from ncx2shape import (
     log_density_d3,
     mode_report,
 )
-from ncx2shape.shape import _critical_lambda_cached
+from ncx2shape.density import _log_density_d1_d2
+from ncx2shape.shape import _bisect, _critical_lambda_cached
 
 # nu -> independently computed critical noncentrality
 REFERENCE_ROOTS = {
@@ -274,3 +275,93 @@ class TestInflectionPoint:
             inflection_point(Params(nu=1, lam=0))
         with pytest.raises(DomainError):
             inflection_point(Params(nu=1, lam=1e-310))  # tau^2 / lam overflows
+
+
+def _plain_bisection(f, lo, hi, xtol, rtol):
+    """Halving count of plain bisection on the same bracket and stop rule."""
+    halvings = 0
+    while hi - lo > max(xtol, rtol * hi):
+        mid = 0.5 * (lo + hi)
+        if f(mid)[0] > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        halvings += 1
+    return 0.5 * (lo + hi), halvings
+
+
+def _g_and_slope(nu):
+    """g_nu and its derivative in t, from one ratio."""
+    def f(t):
+        r = bessel_ratio(0.5 * nu, t)
+        dr = 1.0 - (nu - 1.0) * r / t - r * r
+        return g_nu(nu, t), 0.5 * t * (1.0 - r * r) - 0.5 * t * t * r * dr - 0.25 * nu * (r + t * dr)
+    return f
+
+
+def _mode_slope(nu, lam):
+    """l' and l'' of (nu, lam) from the solvers' one-ratio helper."""
+    return lambda x: _log_density_d1_d2(Params(nu, lam), x)
+
+
+# (function, lo, hi, xtol, rtol, start): the tau solve at three nu, the
+# interior mode of (1, 5), and the mode of (60, 500), where the large-order
+# Bessel ratio is inaccurate and the derivative does not match the slope.
+ROOT_PROBLEMS = {
+    "tau_0.1": (_g_and_slope(0.1), 0.0, 3.0, 0.0, 1e-8, 2.0),
+    "tau_1": (_g_and_slope(1.0), 0.0, 3.0, 0.0, 1e-8, 2.0),
+    "tau_1.9": (_g_and_slope(1.9), 0.0, 3.0, 0.0, 1e-12, 1.1),
+    "mode_1_5": (_mode_slope(1.0, 5.0), 1.02, 3.000003, 1e-10, 1e-10, 3.0),
+    "mode_60_500": (_mode_slope(60.0, 500.0), 550.0, 2000.0, 1e-10, 1e-10, 557.5),
+}
+DISTORTIONS = {
+    "exact": lambda d: d,
+    "sign_flipped": lambda d: -d,
+    "zero": lambda d: 0.0,
+    "nan": lambda d: math.nan,
+    "times_1e3": lambda d: 1e3 * d,
+    "over_1e3": lambda d: 1e-3 * d,
+}
+
+
+class TestRootFinder:
+    @pytest.mark.parametrize("distortion", sorted(DISTORTIONS))
+    @pytest.mark.parametrize("problem", sorted(ROOT_PROBLEMS))
+    def test_bad_derivative_still_certified_and_bounded(self, problem, distortion):
+        f, lo, hi, xtol, rtol, start = ROOT_PROBLEMS[problem]
+        distort = DISTORTIONS[distortion]
+        seen = []
+
+        def recorded(x):
+            value, slope = f(x)
+            seen.append((x, value))
+            return value, distort(slope)
+
+        root, evals = _bisect(recorded, lo, hi, xtol, rtol, start)
+        assert evals == len(seen)
+        # The final bracket: the highest point with a positive value and the
+        # lowest with a non-positive one; the answer is its midpoint.
+        final_lo = max([lo] + [x for x, v in seen if v > 0.0])
+        final_hi = min([hi] + [x for x, v in seen if not v > 0.0])
+        assert final_lo < final_hi
+        assert root == 0.5 * (final_lo + final_hi)
+        assert final_hi - final_lo <= max(xtol, rtol * final_hi)
+        halvings = _plain_bisection(f, lo, hi, xtol, rtol)[1]
+        assert evals <= 2 * halvings + 3
+
+    @pytest.mark.parametrize("problem", sorted(ROOT_PROBLEMS))
+    def test_nan_derivative_is_plain_bisection(self, problem):
+        f, lo, hi, xtol, rtol, _ = ROOT_PROBLEMS[problem]
+        got = _bisect(lambda x: (f(x)[0], math.nan), lo, hi, xtol, rtol)
+        assert got == _plain_bisection(f, lo, hi, xtol, rtol)
+
+    @pytest.mark.parametrize("problem", ["tau_0.1", "tau_1", "tau_1.9", "mode_1_5"])
+    def test_exact_derivative_takes_few_steps(self, problem):
+        f, lo, hi, xtol, rtol, start = ROOT_PROBLEMS[problem]
+        assert _bisect(f, lo, hi, xtol, rtol, start)[1] <= 8
+
+    @pytest.mark.parametrize("nu", [1e-4, 0.01, 0.25, 0.5, 1.0, 1.5, 1.9, 1.99, 2.0 - 1e-4])
+    def test_tau_solve_step_counts(self, nu):
+        # Plain bisection takes 27-29 halvings at 1e-8 and 34-36 at 1e-10.
+        assert critical_lambda(nu, 1e-8).iterations <= 6
+        assert critical_lambda(nu, 1e-10).iterations <= 7
