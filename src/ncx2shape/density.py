@@ -17,6 +17,7 @@ differences live in :mod:`ncx2shape.oracle` and never run in production.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,6 +39,20 @@ D2_CONSISTENCY_TOL = 1e-9
 
 _SERIES_MAX_TERMS = 200_000
 _REL_TAIL_EPS = 1e-16
+
+
+# A row l, l', l'' at one point needs r_mu(t), log I_{mu-1}(t) and log I_mu(t)
+# once each, but the public functions are called one at a time.  These memos
+# keep the last few kernel values, keyed by (order, t); a miss calls the
+# module-level kernel, and the kernels are pure, so values are unchanged.
+@functools.lru_cache(maxsize=2)
+def _ratio_memo(mu: float, t: float) -> float:
+    return bessel_ratio(mu, t)
+
+
+@functools.lru_cache(maxsize=4)
+def _log_i_memo(mu: float, t: float) -> float:
+    return log_bessel_i(mu, t)
 
 
 @dataclass(frozen=True)
@@ -200,7 +215,7 @@ def log_density(p: Params, x: float) -> float:
     return (
         -0.5 * (x + lam)
         + 0.25 * (nu - 2.0) * (math.log(x) - math.log(lam))
-        + log_bessel_i(0.5 * (nu - 2.0), t)
+        + _log_i_memo(0.5 * (nu - 2.0), t)
         - _LOG2
     )
 
@@ -225,7 +240,7 @@ def log_density_d1(p: Params, x: float) -> float:
     if lam < LAMBDA_ZERO:
         return -0.5 + (nu - 2.0) / (2.0 * x)
     t = math.sqrt(lam * x)
-    return -0.5 + (nu - 2.0) / (2.0 * x) + math.sqrt(lam) / (2.0 * math.sqrt(x)) * bessel_ratio(0.5 * nu, t)
+    return -0.5 + (nu - 2.0) / (2.0 * x) + math.sqrt(lam) / (2.0 * math.sqrt(x)) * _ratio_memo(0.5 * nu, t)
 
 
 def _log_density_d1_d2(p: Params, x: float) -> tuple[float, float]:
@@ -279,7 +294,7 @@ def log_density_d2(p: Params, x: float) -> float:
     t = math.sqrt(lam * x)
     mu = 0.5 * nu
     sqrt_x = math.sqrt(x)
-    r = bessel_ratio(mu, t)
+    r = _ratio_memo(mu, t)
     form_ratio = (
         (2.0 - nu) / (2.0 * x * x)
         + lam / (4.0 * x)
@@ -287,7 +302,7 @@ def log_density_d2(p: Params, x: float) -> float:
         - lam / (4.0 * x) * r * r
     )
     # independent route: rebuild the ratio from log I values
-    r_log = math.exp(log_bessel_i(mu, t) - log_bessel_i(mu - 1.0, t))
+    r_log = math.exp(_log_i_memo(mu, t) - _log_i_memo(mu - 1.0, t))
     d1 = -0.5 + (nu - 2.0) / (2.0 * x) + math.sqrt(lam) / (2.0 * sqrt_x) * r_log
     form_slope = (lam + nu - 4.0) / (4.0 * x) - 0.25 - d1 * (d1 + 1.0 - (nu - 4.0) / (2.0 * x))
     gap = abs(form_ratio - form_slope)

@@ -10,8 +10,10 @@ import math
 import numpy as np
 import pytest
 
+from ncx2shape import density as density_module
 from ncx2shape import (
     DomainError,
+    InternalConsistencyError,
     Params,
     central_density,
     density_bessel,
@@ -225,3 +227,79 @@ class TestLogDensityDerivatives:
         p = Params(nu=1.5, lam=3)
         for x in (0.01, 1.0, 40.0):
             assert hybrid_close(math.exp(log_density(p, x)), density_bessel(p, x), 1e-14)
+
+
+def _clear_memo():
+    density_module._ratio_memo.cache_clear()
+    density_module._log_i_memo.cache_clear()
+
+
+@pytest.fixture
+def cold_memo():
+    """Start and leave the per-point kernel memo empty, around kernel patches."""
+    _clear_memo()
+    yield
+    _clear_memo()
+
+
+@pytest.fixture
+def kernel_calls(cold_memo, monkeypatch):
+    """Count the density module's kernel calls, memo misses only."""
+    calls = {"bessel_ratio": [], "log_bessel_i": []}
+    for name, seen in calls.items():
+        original = getattr(density_module, name)
+
+        def counted(mu, t, original=original, seen=seen):
+            seen.append((mu, t))
+            return original(mu, t)
+
+        monkeypatch.setattr(density_module, name, counted)
+    return calls
+
+
+class TestKernelMemo:
+    POINTS = ((Params(1, 5), 2.0), (Params(0.3, 0.7), 0.05), (Params(7.5, 40), 60.0),
+              (Params(60, 500), 700.0))
+
+    @pytest.mark.parametrize("p,x", POINTS)
+    def test_row_takes_each_kernel_value_once(self, kernel_calls, p, x):
+        log_density(p, x)
+        log_density_d1(p, x)
+        log_density_d2(p, x)
+        assert len(kernel_calls["bessel_ratio"]) == 1
+        assert len(kernel_calls["log_bessel_i"]) == 2
+
+    @pytest.mark.parametrize("p,x", POINTS)
+    def test_bundle_takes_no_more(self, kernel_calls, p, x):
+        log_density_derivatives(p, x)
+        assert len(kernel_calls["bessel_ratio"]) <= 1
+        assert len(kernel_calls["log_bessel_i"]) <= 2
+
+    @pytest.mark.parametrize("p,x", POINTS)
+    def test_values_equal_cold_calls(self, p, x):
+        fns = (log_density, log_density_d1, log_density_d2, log_density_d3, density_bessel)
+        warm = [fn(p, x) for fn in fns]
+        cold = []
+        for fn in fns:
+            _clear_memo()
+            cold.append(fn(p, x))
+        assert warm == cold
+
+    def test_self_check_still_sees_a_bad_ratio(self, cold_memo, monkeypatch):
+        # A wrong ratio cached by l' must still fail the l'' check, whose
+        # second lineage rebuilds the ratio from log I values.
+        original = density_module.bessel_ratio
+        monkeypatch.setattr(density_module, "bessel_ratio",
+                            lambda mu, t: original(mu, t) * (1.0 + 1e-6))
+        p = Params(1, 5)
+        log_density_d1(p, 2.0)
+        with pytest.raises(InternalConsistencyError):
+            log_density_d2(p, 2.0)
+
+    def test_memos_are_bounded(self, cold_memo):
+        p = Params(3, 10)
+        for x in np.linspace(0.5, 20.0, 50):
+            log_density_d2(p, float(x))
+        for memo in (density_module._ratio_memo, density_module._log_i_memo):
+            info = memo.cache_info()
+            assert info.maxsize is not None and info.currsize <= info.maxsize <= 4

@@ -330,6 +330,7 @@ class TestRootsAgainstMpmath:
         # tau, the mode and the antimode of (1, 5) from a cold cache; plain
         # bisection made 101 ratio calls here.
         calls = []
+        ncx2shape.density._ratio_memo.cache_clear()
         for module in (ncx2shape.density, shape_module, ncx2shape.modes):
             original = module.bessel_ratio
 
