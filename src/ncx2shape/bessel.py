@@ -56,21 +56,39 @@ def _series_crossover(mu: float) -> float:
     return 30.0 + 2.0 * abs(mu)
 
 
+def _series_sum(mu: float, x: float, shift: int = 0) -> float:
+    """Ascending series of I_{mu-shift}(x) divided by its first term.
+
+    The sum over k of prod_{j<=k} q / (j (mu + (j - shift))), q = x^2 / 4.
+    Every term is positive (no cancellation), the first is 1, so nothing
+    underflows however small x is, and the order mu - shift is never
+    rounded: the integer j - shift is added to mu.  Valid while every
+    mu + (j - shift) is positive, which covers mu > -1 at shift 0 and the
+    ratio's mu > 0 at shift 1.
+    """
+    q = 0.25 * x * x
+    term = 1.0
+    total = 1.0
+    for k in range(1, _SERIES_MAX_TERMS):
+        term *= q / (k * (mu + (k - shift)))
+        total += term
+        if term < _SERIES_EPS * total:
+            return total
+    raise ConvergenceError(f"I_mu series stalled at mu={mu}, x={x}")
+
+
+def _log_series_lead(mu: float, x: float) -> float:
+    """log of the series' first term, (x/2)^mu / Gamma(mu + 1)."""
+    return mu * math.log(0.5 * x) - math.lgamma(mu + 1.0)
+
+
 def _i_series(mu: float, x: float) -> float:
     """Ascending series sum_k (x/2)^(2k+mu) / (k! Gamma(mu+k+1)).
 
     Valid for every mu > -1 including the negative-order window (-1, 0);
     the gamma argument mu + k + 1 stays positive throughout.
     """
-    term = math.exp(mu * math.log(0.5 * x) - math.lgamma(mu + 1.0))
-    total = term
-    q = 0.25 * x * x
-    for k in range(1, _SERIES_MAX_TERMS):
-        term *= q / (k * (mu + k))
-        total += term
-        if term < _SERIES_EPS * total:
-            return total
-    raise ConvergenceError(f"I_mu series stalled at mu={mu}, x={x}")
+    return math.exp(_log_series_lead(mu, x)) * _series_sum(mu, x)
 
 
 def _i_scaled_asymptotic(mu: float, x: float) -> float:
@@ -138,15 +156,16 @@ def bessel_i(mu: float, x: float) -> float:
 def log_bessel_i(mu: float, x: float) -> float:
     """log I_mu(x) for x > 0, stable up to at least x = 1e8.
 
-    Below the series/asymptotic crossover this is the log of the series sum
-    (which cannot overflow there); above it the exponentially scaled value
-    is computed first and x is added back, so the composition is exact in
-    log space.
+    Below the series/asymptotic crossover this is the log of the series'
+    first term, mu log(x/2) - lgamma(mu + 1), plus the log of the series
+    summed relative to that term, so no tiny x underflows; above it the
+    exponentially scaled value is computed first and x is added back, so the
+    composition is exact in log space.
     """
     _check_order(mu)
     _check_positive(x)
     if x < _series_crossover(mu):
-        return math.log(_i_series(mu, x))
+        return _log_series_lead(mu, x) + math.log(_series_sum(mu, x))
     return x + math.log(_i_scaled_asymptotic(mu, x))
 
 
@@ -190,8 +209,12 @@ def bessel_ratio(mu: float, x: float) -> float:
 
     Dispatch:
 
-    * x < 1:  quotient of the two power series (machine accurate, no
-      overflow possible at such arguments),
+    * x < 1:  x / (2 mu) times Sa / Sb, where Sa and Sb are the power series
+      of I_mu and I_{mu-1} each divided by its first term.  The leading
+      factors (x/2)^mu / Gamma(mu + 1) and (x/2)^(mu-1) / Gamma(mu) cancel
+      to x / (2 mu) exactly, so no lgamma or exp is evaluated, nothing
+      underflows at tiny x, and the order mu - 1 is never formed, which
+      keeps every bit of tiny orders mu,
     * moderate x: forward continued fraction,
     * large x: quotient of the two exponentially scaled asymptotic sums
       (the e^x / sqrt(2 pi x) prefactors cancel).
@@ -203,7 +226,7 @@ def bessel_ratio(mu: float, x: float) -> float:
         raise DomainError(f"ratio requires order mu > 0, got {mu}")
     _check_positive(x)
     if x < SERIES_RATIO_MAX_X:
-        return _i_series(mu, x) / _i_series(mu - 1.0, x)
+        return x * _series_sum(mu, x) / (2.0 * mu * _series_sum(mu, x, shift=1))
     if x < 30.0 + 2.0 * (abs(mu) + 1.0):
         return _ratio_cf(mu, x)
     return _i_scaled_asymptotic(mu, x) / _i_scaled_asymptotic(mu - 1.0, x)

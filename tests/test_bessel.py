@@ -8,8 +8,11 @@ oracles.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ncx2shape import (
     DomainError,
@@ -169,6 +172,42 @@ class TestBesselRatio:
                 ev = ratio_eval(mu, x)
                 recomposed = math.exp(ev.log_i_num - ev.log_i_den)
                 assert hybrid_close(ev.value, recomposed, 1e-12)
+
+
+def _floats_log_and_flat(lo, hi):
+    """Floats in [lo, hi], both uniform and log-uniform, so every decade shows up."""
+    log_uniform = st.floats(math.log10(lo), math.log10(hi)).map(lambda e: min(max(10.0 ** e, lo), hi))
+    return st.one_of(st.floats(min_value=lo, max_value=hi), log_uniform)
+
+
+class TestSeriesRangeAgainstMpmath:
+    """The power-series range x <= 1, against mpmath at 30 digits at the double inputs."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(mu=_floats_log_and_flat(1e-16, 50.0).filter(lambda m: m > 1e-16),
+           x=_floats_log_and_flat(1e-300, 1.0))
+    # Each used to raise "series stalled": the first series term underflowed.
+    @example(mu=3.0, x=1e-110)
+    @example(mu=9.0, x=1e-40)
+    @example(mu=3.0, x=9.409607399461108e-110)
+    # Orders whose mu - 1 rounds: nu = 1e-16 (lgamma(0) was a bare
+    # ValueError) and nu = 1e-13 near their tau.
+    @example(mu=5e-17, x=0.0065196889)
+    @example(mu=5e-14, x=0.020617066)
+    def test_ratio_and_log_i(self, mu, x):
+        with mpmath.workdps(30):
+            m, mx = mpmath.mpf(mu), mpmath.mpf(x)
+            ratio = mpmath.besseli(m, mx) / mpmath.besseli(m - 1, mx)
+            log_i = mpmath.log(mpmath.besseli(m, mx))
+        assert abs(bessel_ratio(mu, x) - ratio) <= 1e-13 * ratio
+        assert hybrid_close(log_bessel_i(mu, x), float(log_i), 1e-13)
+        # The density's order mu - 1, in (-1, 0) for small mu; below
+        # mu ~ 1.1e-16 it rounds to -1, outside the domain.
+        below = mu - 1.0
+        if below > -1.0:
+            with mpmath.workdps(30):
+                log_i_below = mpmath.log(mpmath.besseli(mpmath.mpf(below), mx))
+            assert hybrid_close(log_bessel_i(below, x), float(log_i_below), 1e-13)
 
 
 class TestRatioDerivative:

@@ -13,7 +13,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ncx2shape
@@ -21,7 +21,6 @@ import ncx2shape.density
 import ncx2shape.modes
 import ncx2shape.shape as shape_module
 from ncx2shape import (
-    ConvergenceError,
     DomainError,
     Params,
     antimode,
@@ -298,19 +297,15 @@ def _mp_slope(nu, lam, x):
 
 class TestRootsAgainstMpmath:
     @settings(max_examples=60, deadline=None)
-    # nu starts at 1e-12: below it the antimode is wrong, see the next test.
-    @given(nu=st.floats(min_value=1e-12, max_value=20.0), lam=st.floats(min_value=0.0, max_value=1e4))
+    # nu starts at 1e-14: at ~1.6e-15 an antimode of lam ~ 9400 is already
+    # wrong, because l' there is the difference of two terms of size 1/x.
+    @given(nu=st.floats(min_value=1e-14, max_value=20.0), lam=st.floats(min_value=0.0, max_value=1e4))
+    # lam x ~ 1e-219: the I_mu series used to underflow its first term and stall.
+    @example(nu=6.0, lam=2.21351999881983e-219)
     def test_mode_and_antimode_within_tol(self, nu, lam):
         # The mpmath slope changes sign within tol * max(1, x) of each root.
         tol = 1e-10
-        try:
-            rep = mode_report(Params(nu, lam), tol)
-        except ConvergenceError as exc:
-            # Known defect, refused rather than answered: at lam x below ~1e-60
-            # the first term of the I_mu power series underflows to 0 for
-            # nu > 2, and the series never converges.
-            assert lam < 1e-60 and "series stalled" in str(exc)
-            return
+        rep = mode_report(Params(nu, lam), tol)
         for x, sign in ((rep.interior_mode, 1), (rep.antimode, -1)):
             if x is None:
                 continue
@@ -318,10 +313,9 @@ class TestRootsAgainstMpmath:
             left = max(x - h, 0.5 * x)
             assert sign * _mp_slope(nu, lam, left) > 0 > sign * _mp_slope(nu, lam, x + h)
 
-    @pytest.mark.xfail(strict=True, reason="known defect: at nu below ~2e-13, l' is the difference "
-                       "of two terms of size 1/x, and the Bessel ratio's series quotient forms the "
-                       "order mu - 1, which loses the low bits of mu")
     def test_antimode_at_tiny_nu(self):
+        # The ratio's series never forms the order mu - 1, which would drop
+        # the low bits of mu; the parent's 5.6547e-7 failed here.
         nu, lam = 1e-13, 5.0
         x = antimode(Params(nu, lam))
         assert _mp_slope(nu, lam, 0.5 * x) < 0 < _mp_slope(nu, lam, x + 1e-10)
