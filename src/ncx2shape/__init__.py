@@ -39,13 +39,10 @@ from .errors import (
     NCX2ShapeError,
 )
 from .modes import (
-    IndicatorLimitReport,
     ModeReport,
     antimode,
     has_interior_mode,
     interior_mode,
-    mode_bound_indicator,
-    mode_bound_indicator_limits,
     mode_bounds,
     mode_report,
 )
@@ -73,7 +70,6 @@ __all__ = [
     "DomainError",
     "GridMaxima",
     "GridSpec",
-    "IndicatorLimitReport",
     "InternalConsistencyError",
     "LogDensityDerivatives",
     "ModeReport",
@@ -105,8 +101,6 @@ __all__ = [
     "log_density_d2",
     "log_density_d3",
     "log_density_derivatives",
-    "mode_bound_indicator",
-    "mode_bound_indicator_limits",
     "mode_bounds",
     "mode_report",
     "ratio_asymptotic",

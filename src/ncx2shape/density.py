@@ -243,27 +243,6 @@ def log_density_d1(p: Params, x: float) -> float:
     return -0.5 + (nu - 2.0) / (2.0 * x) + math.sqrt(lam) / (2.0 * math.sqrt(x)) * _ratio_memo(0.5 * nu, t)
 
 
-def _log_density_d1_d2(p: Params, x: float) -> tuple[float, float]:
-    """l'(x) and the ratio form of l''(x) from one Bessel ratio, for the root-finders.
-
-    The formulas of :func:`log_density_d1` and of the value
-    :func:`log_density_d2` returns, without the self-check.
-    """
-    nu, lam = p.nu, p.lam
-    if lam < LAMBDA_ZERO:
-        return -0.5 + (nu - 2.0) / (2.0 * x), (2.0 - nu) / (2.0 * x * x)
-    sqrt_x = math.sqrt(x)
-    r = bessel_ratio(0.5 * nu, math.sqrt(lam * x))
-    d1 = -0.5 + (nu - 2.0) / (2.0 * x) + math.sqrt(lam) / (2.0 * sqrt_x) * r
-    d2 = (
-        (2.0 - nu) / (2.0 * x * x)
-        + lam / (4.0 * x)
-        - nu * math.sqrt(lam) / (4.0 * x * sqrt_x) * r
-        - lam / (4.0 * x) * r * r
-    )
-    return d1, d2
-
-
 def log_density_d2(p: Params, x: float) -> float:
     """Second derivative of the log density, with a built-in self-test.
 

@@ -13,26 +13,36 @@ unique zero of the log-density slope inside a provable bracket:
 In the bimodal regime the density also has a local minimum (antimode)
 between zero and the inflection point of the log density.
 
-Both roots are zeros of the slope l', found by the root-finder shared with
-:mod:`ncx2shape.shape` (Newton steps on l' and l'' from one Bessel ratio,
-kept inside a bracket whose ends are checked on l') until the bracket width
-is at most ``tol * max(1, hi)``.  :func:`mode_report` solves them together,
-split at the inflection point ``tau**2 / lam`` of the cached entry that
-decides existence.
+Both roots are solved in t = sqrt(lam x), the variable of
+:mod:`ncx2shape.shape`.  With s(t) = t r_{nu/2}(t),
+
+    2x l'(x) = h(t) = s(t) + nu - 2 - t^2 / lam,
+
+so the slope has the sign of h, and h' = s' - 2t / lam comes from the same
+Bessel ratio.  The root-finder shared with :mod:`ncx2shape.shape` narrows t
+to relative width ``tol / 2`` and returns x = t^2 / lam, so ``tol`` is
+relative: each root lies within about ``tol * x / 2`` of a sign change of
+the slope.  For nu < 2 the brackets in t are theorems, and no end is
+evaluated:
+
+* mode      (tau, sqrt(lam (lam + nu - 3))): h(tau) = tau^2 (1/lambda_nu -
+  1/lam) > 0 exactly when the density is bimodal, and lam + nu - 3 is the
+  strict upper bound;
+* antimode  (sqrt(nu (2 - nu)), tau): r_mu(t) < t / (2 mu), from
+  I_{mu-1} - I_{mu+1} = (2 mu / t) I_mu, so s < t^2 / nu and h < 0
+  wherever t^2 <= nu (2 - nu).
+
+For nu >= 2 the proven bounds, padded, are checked on h first.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
-import numpy as np
-
-from .bessel import bessel_ratio
-from .density import Params, _log_density_d1_d2, log_density_d1
-from .errors import DomainError
-from .shape import _bisect, _check_tol, _step, critical_lambda
+from .density import LAMBDA_ZERO, Params
+from .errors import DomainError, InternalConsistencyError
+from .shape import _bisect, _check_tol, _ratio_terms, _step, critical_lambda
 
 # Position tolerance (relative) for the mode and antimode solvers.
 DEFAULT_TOL = 1e-10
@@ -44,6 +54,8 @@ BOUND_NU_GT_3 = "nu_gt_3"
 BOUND_BIMODAL = "bimodal"
 
 _BRACKET_PAD = 1e-6
+_SQRT_TWO = math.sqrt(2.0)
+_SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -114,15 +126,23 @@ def antimode(p: Params, tol: float = DEFAULT_TOL) -> float | None:
     return mode_report(p, tol).antimode
 
 
+def _slope_in_t(nu: float, lam: float, sign: float):
+    """``t -> sign * (h(t), h'(t))``, where h(t) = 2x l'(x) at x = t (t / lam)."""
+    # t (t / lam), not t * t / lam: at lam = 1e-300 the product t * t is subnormal.
+    def h(t: float) -> tuple[float, float]:
+        _, s, ds = _ratio_terms(nu, t)
+        return sign * (s + (nu - 2.0) - t * (t / lam)), sign * (ds - 2.0 * t / lam)
+
+    return h
+
+
 def mode_report(p: Params, tol: float = DEFAULT_TOL) -> ModeReport:
     """Full mode summary: zero mode flag, interior mode, antimode, bounds.
 
-    The mode bracket comes from the location bounds, padded outward so the
-    slope straddles zero strictly even when a bound is attained (lam = 0
-    makes both log-concave bounds collapse onto the mode).  For nu < 2 the
-    left end is the inflection point, where the slope is provably positive.
-    The antimode lies between zero, where the slope falls to -inf, and the
-    inflection point; the log density is convex there, so the zero is unique.
+    Both roots are solved in t = sqrt(lam x) to relative ``tol``; see the
+    module notes for the brackets.  An interior mode outside its location
+    bounds, widened by ``tol * max(1, upper)``, raises
+    :class:`InternalConsistencyError`.
     """
     _check_tol(tol)
     nu, lam = p.nu, p.lam
@@ -138,30 +158,45 @@ def mode_report(p: Params, tol: float = DEFAULT_TOL) -> ModeReport:
             bound_source=None,
         )
     lower, upper, source = _bounds_with_source(nu, lam)
-    slope = partial(log_density_d1, p)
-    slope_curvature = partial(_log_density_d1_d2, p)
-    if nu >= 2.0:
-        lo0 = max((nu - 2.0) * (1.0 + lam / nu), 0.0)
-        lo = max(lo0 - _BRACKET_PAD * max(1.0, abs(lo0)), 1e-12)
-        start = 0.5 * (lower + upper)
-    else:
-        lo = x_tilde = critical_lambda(nu).tau ** 2 / lam
-        # The mode lies just below lam + nu - 3 (by about (3 - nu) / (2 lam)).
-        start = upper
-    # Each end of the mode bracket gets 200 evaluations to find its sign.
-    lo = _step(slope, lo, 0.5, lo * 0.5**199, 1.0, "no positive slope found left of the mode")
-    hi = upper + _BRACKET_PAD * max(1.0, upper)
-    hi = _step(slope, hi, 2.0, hi * 2.0**199, -1.0, "no negative slope found right of the mode")
-    mode = _bisect(slope_curvature, lo, hi, tol, tol, start)[0]
     anti = None
-    if nu < 2.0:
-        lo = _step(slope, 0.5 * x_tilde, 0.25, 1e-280, -1.0, "no negative slope found near zero")
-
-        def negated(x: float) -> tuple[float, float]:
-            d1, d2 = slope_curvature(x)
-            return -d1, -d2
-
-        anti = _bisect(negated, lo, x_tilde, tol, tol)[0]
+    rtol = 0.5 * tol
+    slope = _slope_in_t(nu, lam, 1.0)
+    if lam < LAMBDA_ZERO:
+        # Only nu > 2 has an interior mode here: the central one.
+        mode = nu - 2.0
+    elif nu < 2.0:
+        # Both brackets are theorems (see the module notes): no end is evaluated.
+        tau = critical_lambda(nu).tau
+        # The mode lies just below lam + nu - 3 (by about (3 - nu) / (2 lam)).
+        start = lam + nu - 3.0 + (nu - 3.0) / (2.0 * lam)
+        t = _bisect(slope, tau, math.sqrt(lam * upper), 0.0, rtol,
+                    math.sqrt(lam * start) if lam * start > tau * tau else None)[0]
+        mode = t * (t / lam)
+        t = _bisect(_slope_in_t(nu, lam, -1.0), math.sqrt(nu * (2.0 - nu)), tau, 0.0, rtol)[0]
+        anti = t * (t / lam)
+    else:
+        # The padded bounds are checked, and each end moves outward (by 2 in
+        # x) until the slope has its sign there.  Above t ~ 32 + nu the
+        # large-order Bessel ratio is wrong, and the slope built on it can
+        # have the wrong sign at a proven end; the search then still finds a
+        # sign change, and on some inputs (e.g. nu = 31.764901822735737,
+        # lam = 50.65843935439083) the right root.  Each end gets 200
+        # evaluations.
+        lo = max((nu - 2.0) * (1.0 + lam / nu), 0.0)
+        lo = max(lo - _BRACKET_PAD * max(1.0, lo), 1e-12)
+        hi = upper + _BRACKET_PAD * max(1.0, upper)
+        t_lo, t_hi = math.sqrt(lam * lo), math.sqrt(lam * hi)
+        t_lo = _step(lambda t: slope(t)[0], t_lo, _SQRT_HALF, t_lo * _SQRT_HALF**199, 1.0,
+                     "no positive slope found left of the mode")
+        t_hi = _step(lambda t: slope(t)[0], t_hi, _SQRT_TWO, t_hi * _SQRT_TWO**199, -1.0,
+                     "no negative slope found right of the mode")
+        t = _bisect(slope, t_lo, t_hi, 0.0, rtol, math.sqrt(lam * 0.5 * (lower + upper)))[0]
+        mode = t * (t / lam)
+    width = tol * max(1.0, upper)
+    if not lower - width <= mode <= upper + width:
+        raise InternalConsistencyError(
+            f"interior mode {mode!r} outside its bounds [{lower!r}, {upper!r}] at nu={nu}, lam={lam}"
+        )
     return ModeReport(
         params=p,
         zero_is_mode=zero_is_mode,
@@ -170,59 +205,4 @@ def mode_report(p: Params, tol: float = DEFAULT_TOL) -> ModeReport:
         bounds_lower=lower,
         bounds_upper=upper,
         bound_source=source,
-    )
-
-
-def mode_bound_indicator(nu: float, lam: float) -> float:
-    """Sign diagnostic for the log-density slope at x = lam + nu - 3.
-
-    With z = lam + nu - 3 and t = sqrt(lam z) the value is
-
-        r_{nu/2}(t) - (lam - 1) / t,
-
-    which has the sign of the slope at z.  Positive for nu > 3 (the mode
-    sits above z) and negative throughout the bimodal regime (the mode sits
-    below z).  Requires lam > max(0, 3 - nu).
-    """
-    if math.isnan(nu) or nu <= 0.0:
-        raise DomainError(f"degrees of freedom must be > 0, got {nu}")
-    z = lam + nu - 3.0
-    if math.isnan(lam) or lam <= 0.0 or z <= 0.0:
-        raise DomainError(f"indicator requires lam > max(0, 3 - nu), got lam={lam}")
-    t = math.sqrt(lam * z)
-    return bessel_ratio(0.5 * nu, t) - (lam - 1.0) / t
-
-
-@dataclass(frozen=True)
-class IndicatorLimitReport:
-    """Edge limits of the mode bound indicator over a grid of nu values."""
-
-    nus: np.ndarray
-    values: np.ndarray
-    max_value: float
-    all_negative: bool
-
-
-def mode_bound_indicator_limits(nus) -> IndicatorLimitReport:
-    """Limiting indicator values as the noncentrality falls to its domain edge.
-
-    At lam = 4 - nu the indicator tends to
-
-        r_{nu/2}(sqrt(4 - nu)) - (3 - nu) / sqrt(4 - nu),
-
-    which stays negative across 0 < nu < 2.  That sign, combined with the
-    indicator's single admissible sign-change direction, pins the strict
-    upper bound for bimodal interior modes.
-    """
-    arr = np.asarray(nus, dtype=float)
-    if arr.size == 0 or np.any(~np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 2.0):
-        raise DomainError("grid must lie inside (0, 2)")
-    values = np.array(
-        [bessel_ratio(0.5 * nu, math.sqrt(4.0 - nu)) - (3.0 - nu) / math.sqrt(4.0 - nu) for nu in arr]
-    )
-    return IndicatorLimitReport(
-        nus=arr,
-        values=values,
-        max_value=float(values.max()),
-        all_negative=bool(np.all(values < 0.0)),
     )

@@ -10,12 +10,16 @@ tau gives the inflection point tau^2 / lam, where the slope peaks, so the
 density is bimodal iff lam > lambda_nu = F(tau) = min_t F(t), with
 F(t) = t^2 / (t r(t) + nu - 2).  The paper's indicator is a cross-check.
 
-Every solver in the package (tau, the interior mode and the antimode)
-finds a single sign change the same way: :func:`_step` grows or shrinks a
-start point until the function has the wanted sign, and :func:`_bisect`
-narrows the bracket by Newton steps kept inside it, falling back to
-halving, until ``hi - lo <= max(xtol, rtol * hi)``.  Each function hands
-the solver its value and derivative from one Bessel ratio.
+Every root of the shape problem is a root in t of a function of
+s(t) = t r_{nu/2}(t): g_nu for tau, and 2x l'(x) = s + nu - 2 - t^2 / lam
+for the interior mode and the antimode (see :mod:`ncx2shape.modes`).
+:func:`_ratio_terms` gives r, s and s' from one Bessel ratio, so each
+function hands the solver its value and derivative at that cost.  Every
+solver finds a single sign change the same way: :func:`_bisect` narrows a
+bracket by Newton steps kept inside it, falling back to halving, until
+``hi - lo <= max(xtol, rtol * hi)``; where an end is not a theorem,
+:func:`_step` first grows or shrinks it until the function has the wanted
+sign there.
 """
 
 from __future__ import annotations
@@ -85,6 +89,12 @@ def criticality_indicator(nu: float, lam: float) -> float:
         raise DomainError(f"indicator requires lam > 4 - nu = {4.0 - nu}, got {lam}")
     t = math.sqrt(lam * (lam + nu - 4.0))
     return bessel_ratio(0.5 * nu, t) - (lam - 2.0) / t
+
+
+def _ratio_terms(nu: float, t: float) -> tuple[float, float, float]:
+    """r = r_{nu/2}(t), s = t r and s' = ds/dt = t + (2 - nu) r - t r^2, from one Bessel ratio."""
+    r = bessel_ratio(0.5 * nu, t)
+    return r, t * r, t + (2.0 - nu) * r - t * r * r
 
 
 def _check_tol(tol: float) -> None:
@@ -171,10 +181,10 @@ def _bisect(f, lo: float, hi: float, xtol: float, rtol: float,
 
 @lru_cache(maxsize=1024)
 def _critical_lambda_cached(nu: float, tol: float) -> CriticalLambda:
-    mu = 0.5 * nu
-
+    # g_nu and g_nu' are kept in r: written in s they round differently and
+    # move tau, and with it printed lambda_nu digits at tiny nu.
     def g(t: float) -> tuple[float, float]:
-        r = bessel_ratio(mu, t)
+        r = _ratio_terms(nu, t)[0]
         dr = 1.0 - (nu - 1.0) * r / t - r * r
         value = 0.5 * (2.0 - nu) + 0.25 * t * t * (1.0 - r * r) - 0.25 * nu * t * r
         slope = 0.5 * t * (1.0 - r * r) - 0.5 * t * t * r * dr - 0.25 * nu * (r + t * dr)
@@ -187,7 +197,7 @@ def _critical_lambda_cached(nu: float, tol: float) -> CriticalLambda:
     hi = _step(lambda t: g(t)[0], 1.25 * start, 2.0, 1e3, -1.0, f"no negative g_nu found at nu={nu}")
     tau, iterations = _bisect(g, 0.0, hi, 0.0, tol, start)
     # nu - 2.0 is exact; adding tau r to nu first would cancel near nu = 2.
-    lambda_nu = tau * tau / (tau * bessel_ratio(mu, tau) + (nu - 2.0))
+    lambda_nu = tau * tau / (_ratio_terms(nu, tau)[1] + (nu - 2.0))
     return CriticalLambda(nu=nu, lambda_nu=lambda_nu, tau=tau, tol=tol, iterations=iterations)
 
 

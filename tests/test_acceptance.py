@@ -29,7 +29,6 @@ from ncx2shape import (
     log_density_d1,
     log_density_d2,
     log_density_d3,
-    mode_bound_indicator_limits,
     mode_bounds,
     mode_report,
 )
@@ -172,10 +171,13 @@ def test_criterion_07_mode_bounds_and_edge_negativity():
         if not good:
             violations.append((nu, lam, m))
         checked += 1
-    scan = mode_bound_indicator_limits(np.linspace(5e-4, 2.0 - 5e-4, 2000))
-    ok = not violations and scan.all_negative
+    # The paper's edge limit r_{nu/2}(t) - (lam - 1)/t at lam = 4 - nu, with
+    # t = sqrt(lam x), is (2x/t) l'(x) at x = lam + nu - 3 = 1.
+    edge = [2.0 * log_density_d1(Params(nu=nu, lam=4.0 - nu), 1.0) / math.sqrt(4.0 - nu)
+            for nu in np.linspace(5e-4, 2.0 - 5e-4, 2000)]
+    ok = not violations and max(edge) < 0.0
     assert report(7, "mode location bounds on 200 random draws; edge limits negative",
-                  ok, f"{200 - len(violations)}/200 in bounds, max edge value {scan.max_value:.4f}")
+                  ok, f"{200 - len(violations)}/200 in bounds, max edge value {max(edge):.4f}")
 
 
 def test_criterion_08_mode_monotonicity_and_asymptote():

@@ -167,6 +167,14 @@ class TestModes:
         assert payload["interior_mode"] is None
         assert payload["bounds_lower"] is None
 
+    def test_mode_outside_its_bounds_exits_3(self, capsys):
+        # The large-order Bessel ratio puts the slope's zero at 1187.9,
+        # outside the proven [1097, 1098]: refused, not printed.
+        code, out, err = run_cli(capsys, "modes", "--nu", "100", "--lambda", "1000")
+        assert code == 3
+        assert out == ""
+        assert "outside its bounds" in err
+
     @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
     def test_rejects_bad_tolerance(self, tol):
         assert run_child("modes", "--nu", "4", "--lambda", "5", "--tol", tol) == 2

@@ -22,6 +22,7 @@ import ncx2shape.modes
 import ncx2shape.shape as shape_module
 from ncx2shape import (
     DomainError,
+    InternalConsistencyError,
     Params,
     antimode,
     classify,
@@ -33,8 +34,6 @@ from ncx2shape import (
     interior_mode,
     log_density_d1,
     log_density_d2,
-    mode_bound_indicator,
-    mode_bound_indicator_limits,
     mode_bounds,
     mode_report,
 )
@@ -47,7 +46,8 @@ EQ_LIMIT_AT_1 = math.tanh(math.sqrt(3.0)) - 2.0 / math.sqrt(3.0)  # -0.215402719
 
 class TestInteriorMode:
     def test_central_mode(self):
-        assert abs(interior_mode(Params(nu=4, lam=0)) - 2.0) < 1e-9
+        # lam = 0: l'(x) = -1/2 + (nu - 2)/(2x) vanishes at nu - 2 exactly.
+        assert interior_mode(Params(nu=4, lam=0)) == 2.0
 
     def test_log_concave_case(self):
         m = interior_mode(Params(nu=4, lam=5))
@@ -179,6 +179,24 @@ class TestModeReport:
         mode_report(Params(nu=1, lam=5))
         assert calls == []
 
+    def test_mode_outside_its_bounds_raises(self, monkeypatch):
+        # A ratio 20% too large moves the mode of (4, 5) from 6.11 to 7.76,
+        # above its upper bound 7.
+        def inflated(nu, t):
+            r, s, ds = terms(nu, t)
+            return 1.2 * r, 1.2 * s, 1.2 * ds
+
+        terms = ncx2shape.modes._ratio_terms
+        monkeypatch.setattr(ncx2shape.modes, "_ratio_terms", inflated)
+        with pytest.raises(InternalConsistencyError, match="outside its bounds"):
+            mode_report(Params(nu=4, lam=5))
+
+    def test_large_order_mode_outside_its_bounds_raises(self):
+        # At nu = 100 the large-order Bessel ratio is wrong, and the slope
+        # built on it vanishes at 1187.9, outside [1097, 1098].
+        with pytest.raises(InternalConsistencyError, match="outside its bounds"):
+            mode_report(Params(nu=100, lam=1000))
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_tolerance_in_every_regime(self, tol):
         # The regime without an interior mode comes first: the check must
@@ -224,37 +242,34 @@ class TestMonotonicity:
         assert 0.0 < gap_above < 0.01
 
 
+def _indicator(nu, lam):
+    """The paper's mode bound indicator r_{nu/2}(t) - (lam - 1) / t, t = sqrt(lam z).
+
+    It is (2z / t) l'(z) at z = lam + nu - 3, so it has the slope's sign there.
+    """
+    z = lam + nu - 3.0
+    return 2.0 * z * log_density_d1(Params(nu, lam), z) / math.sqrt(lam * z)
+
+
 class TestModeBoundIndicator:
     def test_above_three_dof(self):
-        assert mode_bound_indicator(4.0, 2.0) > 0.0
+        assert _indicator(4.0, 2.0) > 0.0
 
     def test_bimodal_regime(self):
-        assert mode_bound_indicator(1.0, 5.0) < 0.0
+        assert _indicator(1.0, 5.0) < 0.0
 
     def test_edge_limit_consistency(self):
         # just above the domain edge the indicator is close to its limit value
         nu = 0.5
         lam = (4.0 - nu) + 1e-6
-        limit = mode_bound_indicator_limits([nu]).values[0]
+        limit = _indicator(nu, 4.0 - nu)
         assert limit < 0.0
-        assert abs(mode_bound_indicator(nu, lam) - limit) < 1e-4
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            mode_bound_indicator(1.0, 1.5)  # z = lam + nu - 3 <= 0
-        with pytest.raises(DomainError):
-            mode_bound_indicator(4.0, 0.0)
+        assert abs(_indicator(nu, lam) - limit) < 1e-4
 
     def test_limit_scan(self):
-        report = mode_bound_indicator_limits(np.linspace(1e-6, 2.0 - 1e-6, 500))
-        assert report.all_negative
-        assert report.max_value < 0.0
-        at_one = mode_bound_indicator_limits([1.0]).values[0]
-        assert abs(at_one - EQ_LIMIT_AT_1) < 1e-12
-
-    def test_limit_scan_domain(self):
-        with pytest.raises(DomainError):
-            mode_bound_indicator_limits([0.5, 2.5])
+        values = [_indicator(nu, 4.0 - nu) for nu in np.linspace(1e-6, 2.0 - 1e-6, 500)]
+        assert max(values) < 0.0
+        assert abs(_indicator(1.0, 3.0) - EQ_LIMIT_AT_1) < 1e-12
 
 
 class TestExistenceConsistency:
@@ -302,16 +317,33 @@ class TestRootsAgainstMpmath:
     @given(nu=st.floats(min_value=1e-14, max_value=20.0), lam=st.floats(min_value=0.0, max_value=1e4))
     # lam x ~ 1e-219: the I_mu series used to underflow its first term and stall.
     @example(nu=6.0, lam=2.21351999881983e-219)
+    # A mode of 4.4e-16: an absolute tolerance of 1e-10 used to miss it.
+    @example(nu=2.0000000000000004, lam=1e-300)
+    # 30-digit antimode 0.05697000912507920; the x-space solve was 2.2e-10 off.
+    @example(nu=0.5, lam=30.0)
     def test_mode_and_antimode_within_tol(self, nu, lam):
-        # The mpmath slope changes sign within tol * max(1, x) of each root.
+        # The mpmath slope changes sign within tol * x of each root.  Below
+        # nu ~ 1e-9, s + nu - 2 cancels in double precision (s = t r ~ 2), and
+        # the antimode is only good to tol * max(1, x).
         tol = 1e-10
         rep = mode_report(Params(nu, lam), tol)
         for x, sign in ((rep.interior_mode, 1), (rep.antimode, -1)):
             if x is None:
                 continue
-            h = tol * max(1.0, x)
+            h = tol * x if nu >= 1e-8 else tol * max(1.0, x)
             left = max(x - h, 0.5 * x)
             assert sign * _mp_slope(nu, lam, left) > 0 > sign * _mp_slope(nu, lam, x + h)
+
+    @settings(max_examples=40, deadline=None)
+    @given(nu=st.floats(min_value=1e-6, max_value=2.0 - 1e-6), u=st.floats(min_value=-6.0, max_value=4.0))
+    def test_antimode_between_its_bounds(self, nu, u):
+        # nu (2 - nu) / lam < antimode < tau^2 / lam, and the mpmath slope is
+        # negative at the lower bound and positive at the upper one.
+        lam = critical_lambda(nu).lambda_nu * (1.0 + 10.0**u)
+        lower = nu * (2.0 - nu) / lam
+        upper = critical_lambda(nu).tau ** 2 / lam
+        assert lower < antimode(Params(nu, lam)) < upper
+        assert _mp_slope(nu, lam, lower) < 0 < _mp_slope(nu, lam, upper)
 
     def test_antimode_at_tiny_nu(self):
         # The ratio's series never forms the order mu - 1, which would drop
@@ -325,7 +357,7 @@ class TestRootsAgainstMpmath:
         # bisection made 101 ratio calls here.
         calls = []
         ncx2shape.density._ratio_memo.cache_clear()
-        for module in (ncx2shape.density, shape_module, ncx2shape.modes):
+        for module in (ncx2shape.density, shape_module):
             original = module.bessel_ratio
 
             def counted(mu, x, original=original):

@@ -27,7 +27,7 @@ from ncx2shape import (
     log_density_d3,
     mode_report,
 )
-from ncx2shape.density import _log_density_d1_d2
+from ncx2shape.modes import _slope_in_t
 from ncx2shape.shape import _bisect, _critical_lambda_cached
 
 # nu -> independently computed critical noncentrality
@@ -299,20 +299,23 @@ def _g_and_slope(nu):
     return f
 
 
-def _mode_slope(nu, lam):
-    """l' and l'' of (nu, lam) from the solvers' one-ratio helper."""
-    return lambda x: _log_density_d1_d2(Params(nu, lam), x)
+def _t(lam, x):
+    return math.sqrt(lam * x)
 
 
 # (function, lo, hi, xtol, rtol, start): the tau solve at three nu, the
 # interior mode of (1, 5), and the mode of (60, 500), where the large-order
 # Bessel ratio is inaccurate and the derivative does not match the slope.
+# The modes are solved in t = sqrt(lam x), on the solvers' one-ratio h(t),
+# over the x brackets [1.02, 3.000003] and [550, 2000] from 3 and 557.5.
 ROOT_PROBLEMS = {
     "tau_0.1": (_g_and_slope(0.1), 0.0, 3.0, 0.0, 1e-8, 2.0),
     "tau_1": (_g_and_slope(1.0), 0.0, 3.0, 0.0, 1e-8, 2.0),
     "tau_1.9": (_g_and_slope(1.9), 0.0, 3.0, 0.0, 1e-12, 1.1),
-    "mode_1_5": (_mode_slope(1.0, 5.0), 1.02, 3.000003, 1e-10, 1e-10, 3.0),
-    "mode_60_500": (_mode_slope(60.0, 500.0), 550.0, 2000.0, 1e-10, 1e-10, 557.5),
+    "mode_1_5": (_slope_in_t(1.0, 5.0, 1.0), _t(5.0, 1.02), _t(5.0, 3.000003), 0.0, 5e-11,
+                 _t(5.0, 3.0)),
+    "mode_60_500": (_slope_in_t(60.0, 500.0, 1.0), _t(500.0, 550.0), _t(500.0, 2000.0), 0.0, 5e-11,
+                    _t(500.0, 557.5)),
 }
 DISTORTIONS = {
     "exact": lambda d: d,
