@@ -136,6 +136,8 @@ def _cmd_eval(args) -> None:
     for x in xs:
         l = log_density(p, x)
         rows.append([x, math.exp(l), l, log_density_d1(p, x), log_density_d2(p, x)])
+        if not all(map(math.isfinite, rows[-1])):
+            raise OverflowError(f"non-finite value in the row at x={x!r}: {rows[-1]!r}")
     payload = {
         "nu": p.nu,
         "lambda": p.lam,
@@ -216,7 +218,7 @@ def main(argv=None) -> int:
     except (UsageError, DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BracketError, ConvergenceError, InternalConsistencyError, OverflowError) as exc:
+    except (BracketError, ConvergenceError, InternalConsistencyError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

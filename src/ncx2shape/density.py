@@ -47,12 +47,41 @@ _REL_TAIL_EPS = 1e-16
 # module-level kernel, and the kernels are pure, so values are unchanged.
 @functools.lru_cache(maxsize=2)
 def _ratio_memo(mu: float, t: float) -> float:
-    return bessel_ratio(mu, t)
+    return bessel_ratio(mu, _bessel_argument(t))
 
 
 @functools.lru_cache(maxsize=4)
 def _log_i_memo(mu: float, t: float) -> float:
-    return log_bessel_i(mu, t)
+    return log_bessel_i(mu, _bessel_argument(t))
+
+
+def _bessel_argument(t: float) -> float:
+    # x > 0 and lam >= LAMBDA_ZERO are checked, so t = sqrt(lam x) is 0 only by underflow.
+    if t == 0.0:
+        raise DomainError("lam * x underflows to 0, so the Bessel argument sqrt(lam x) is 0")
+    return t
+
+
+def _ratio_terms(nu: float, t: float) -> tuple[float, float, float]:
+    """r = r_{nu/2}(t), s = t r and s' = ds/dt = t + (2 - nu) r - t r^2, from one uncached Bessel ratio."""
+    r = bessel_ratio(0.5 * nu, t)
+    return r, t * r, t + (2.0 - nu) * r - t * r * r
+
+
+def _curvature(nu: float, t: float, r: float) -> float:
+    """g_nu(t) = x^2 l''(x) = (2 - nu)/2 + t^2 (1 - r^2)/4 - nu t r/4, given r = r_{nu/2}(t).
+
+    Kept in r, as is :func:`_curvature_slope` (apart, so that l'' does not
+    pay for it): written in s = t r they round differently, moving tau and
+    printed lambda_nu digits at tiny nu.
+    """
+    return 0.5 * (2.0 - nu) + 0.25 * t * t * (1.0 - r * r) - 0.25 * nu * t * r
+
+
+def _curvature_slope(nu: float, t: float, r: float) -> float:
+    """g_nu'(t), given r = r_{nu/2}(t), with r' = 1 - (nu - 1) r / t - r^2."""
+    dr = 1.0 - (nu - 1.0) * r / t - r * r
+    return 0.5 * t * (1.0 - r * r) - 0.5 * t * t * r * dr - 0.25 * nu * (r + t * dr)
 
 
 @dataclass(frozen=True)
@@ -246,12 +275,9 @@ def log_density_d1(p: Params, x: float) -> float:
 def log_density_d2(p: Params, x: float) -> float:
     """Second derivative of the log density, with a built-in self-test.
 
-    The returned value uses the ratio-substituted form
-
-        (2-nu)/(2x^2) + lam/(4x) - nu sqrt(lam)/(4 x^1.5) r - lam/(4x) r^2
-
-    with r = r_{nu/2}(sqrt(lam x)) from the continued-fraction route.  The
-    same quantity is then rebuilt through the slope form
+    The returned value is g_nu(t) / x^2 (see :func:`_curvature`), with
+    r = r_{nu/2}(t) from :func:`ncx2shape.bessel.bessel_ratio`.  The same
+    quantity is then rebuilt through the slope form
 
         (lam+nu-4)/(4x) - 1/4 - l'(x) (l'(x) + 1 - (nu-4)/(2x))
 
@@ -272,17 +298,10 @@ def log_density_d2(p: Params, x: float) -> float:
         return (2.0 - nu) / (2.0 * x * x)
     t = math.sqrt(lam * x)
     mu = 0.5 * nu
-    sqrt_x = math.sqrt(x)
-    r = _ratio_memo(mu, t)
-    form_ratio = (
-        (2.0 - nu) / (2.0 * x * x)
-        + lam / (4.0 * x)
-        - nu * math.sqrt(lam) / (4.0 * x * sqrt_x) * r
-        - lam / (4.0 * x) * r * r
-    )
+    form_ratio = _curvature(nu, t, _ratio_memo(mu, t)) / (x * x)
     # independent route: rebuild the ratio from log I values
     r_log = math.exp(_log_i_memo(mu, t) - _log_i_memo(mu - 1.0, t))
-    d1 = -0.5 + (nu - 2.0) / (2.0 * x) + math.sqrt(lam) / (2.0 * sqrt_x) * r_log
+    d1 = -0.5 + (nu - 2.0) / (2.0 * x) + math.sqrt(lam) / (2.0 * math.sqrt(x)) * r_log
     form_slope = (lam + nu - 4.0) / (4.0 * x) - 0.25 - d1 * (d1 + 1.0 - (nu - 4.0) / (2.0 * x))
     gap = abs(form_ratio - form_slope)
     conditioning = (
@@ -302,20 +321,17 @@ def log_density_d2(p: Params, x: float) -> float:
 
 
 def log_density_d3(p: Params, x: float) -> float:
-    """Third derivative of the log density via the closed form
+    """Third derivative of the log density, (t g_nu'(t) / 2 - 2 g_nu(t)) / x^3.
 
-        l''' = -(lam+nu-4 + 2(nu-4) l') / (4x^2) - l'' (2 l' + 1 - (nu-4)/(2x)).
-
-    The identity also reproduces the central third derivative at lambda = 0
-    once l' and l'' take their central reductions.
+    This is d/dx of g_nu(t) / x^2 with dt/dx = t / (2x); it reduces to the
+    central (nu - 2) / x^3 at lambda = 0.  The l'' self-check runs first.
     """
-    _check_x(x)
-    nu, lam = p.nu, p.lam
-    d1 = log_density_d1(p, x)
     d2 = log_density_d2(p, x)
-    return -(lam + nu - 4.0 + 2.0 * (nu - 4.0) * d1) / (4.0 * x * x) - d2 * (
-        2.0 * d1 + 1.0 - (nu - 4.0) / (2.0 * x)
-    )
+    if p.lam < LAMBDA_ZERO:
+        return -2.0 * d2 / x
+    t = math.sqrt(p.lam * x)
+    r = _ratio_memo(0.5 * p.nu, t)
+    return (0.5 * t * _curvature_slope(p.nu, t, r) - 2.0 * _curvature(p.nu, t, r)) / (x * x * x)
 
 
 def log_density_derivatives(p: Params, x: float) -> LogDensityDerivatives:

@@ -40,9 +40,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .density import LAMBDA_ZERO, Params
+from .density import LAMBDA_ZERO, Params, _ratio_terms
 from .errors import DomainError, InternalConsistencyError
-from .shape import _bisect, _check_tol, _ratio_terms, _step, critical_lambda
+from .shape import _bisect, _check_tol, _step, critical_lambda
 
 # Position tolerance (relative) for the mode and antimode solvers.
 DEFAULT_TOL = 1e-10

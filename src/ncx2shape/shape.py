@@ -13,10 +13,10 @@ F(t) = t^2 / (t r(t) + nu - 2).  The paper's indicator is a cross-check.
 Every root of the shape problem is a root in t of a function of
 s(t) = t r_{nu/2}(t): g_nu for tau, and 2x l'(x) = s + nu - 2 - t^2 / lam
 for the interior mode and the antimode (see :mod:`ncx2shape.modes`).
-:func:`_ratio_terms` gives r, s and s' from one Bessel ratio, so each
-function hands the solver its value and derivative at that cost.  Every
-solver finds a single sign change the same way: :func:`_bisect` narrows a
-bracket by Newton steps kept inside it, falling back to halving, until
+Each hands the solver its value and derivative for one Bessel ratio,
+through the kernels in :mod:`ncx2shape.density`.  Every solver finds a
+single sign change the same way: :func:`_bisect` narrows a bracket by
+Newton steps kept inside it, falling back to halving, until
 ``hi - lo <= max(xtol, rtol * hi)``; where an end is not a theorem,
 :func:`_step` first grows or shrinks it until the function has the wanted
 sign there.
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .bessel import bessel_ratio
-from .density import LAMBDA_ZERO, Params, log_density_d2
+from .density import LAMBDA_ZERO, Params, _curvature, _curvature_slope, _ratio_terms, log_density_d2
 from .errors import BracketError, ConvergenceError, DomainError
 
 DEFAULT_TOL = 1e-8
@@ -89,12 +89,6 @@ def criticality_indicator(nu: float, lam: float) -> float:
         raise DomainError(f"indicator requires lam > 4 - nu = {4.0 - nu}, got {lam}")
     t = math.sqrt(lam * (lam + nu - 4.0))
     return bessel_ratio(0.5 * nu, t) - (lam - 2.0) / t
-
-
-def _ratio_terms(nu: float, t: float) -> tuple[float, float, float]:
-    """r = r_{nu/2}(t), s = t r and s' = ds/dt = t + (2 - nu) r - t r^2, from one Bessel ratio."""
-    r = bessel_ratio(0.5 * nu, t)
-    return r, t * r, t + (2.0 - nu) * r - t * r * r
 
 
 def _check_tol(tol: float) -> None:
@@ -181,14 +175,9 @@ def _bisect(f, lo: float, hi: float, xtol: float, rtol: float,
 
 @lru_cache(maxsize=1024)
 def _critical_lambda_cached(nu: float, tol: float) -> CriticalLambda:
-    # g_nu and g_nu' are kept in r: written in s they round differently and
-    # move tau, and with it printed lambda_nu digits at tiny nu.
     def g(t: float) -> tuple[float, float]:
         r = _ratio_terms(nu, t)[0]
-        dr = 1.0 - (nu - 1.0) * r / t - r * r
-        value = 0.5 * (2.0 - nu) + 0.25 * t * t * (1.0 - r * r) - 0.25 * nu * t * r
-        slope = 0.5 * t * (1.0 - r * r) - 0.5 * t * t * r * dr - 0.25 * nu * (r + t * dr)
-        return value, slope
+        return _curvature(nu, t, r), _curvature_slope(nu, t, r)
 
     # tau ~ 2 (12 nu)^(1/6) as nu -> 0 and ~ 2 (2 - nu)^(1/4) as nu -> 2; the
     # smaller of the two is within 15% of tau on all of (0, 2).

@@ -92,6 +92,20 @@ class TestEval:
         assert run_cli(capsys, "eval", "--nu", "1", "--lambda", "-5", "--x", "1")[0] == 2
         assert run_cli(capsys, "eval", "--nu", "1", "--lambda", "5", "--x", "0")[0] == 2
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("lam,x", [("1e-160", "1e-160"), ("1", "1e-170"), ("0", "1e-170")])
+    def test_overflowing_value_exits_3(self, capsys, fmt, lam, x):
+        # l'' ~ (2 - nu) / (2 x^2) overflows, to inf or (once x^2 underflows)
+        # by division by zero; "Infinity" is not JSON, and no row is printed.
+        code, out, err = run_cli(capsys, "eval", "--nu", "1", "--lambda", lam, "--x", x,
+                                 "--format", fmt)
+        assert code == 3 and out == "" and "numerical failure" in err
+
+    def test_underflowing_bessel_argument_exits_2(self, capsys):
+        # lam * x = 1e-330 rounds to 0, so t = sqrt(lam x) would be 0.
+        code, out, err = run_cli(capsys, "eval", "--nu", "3", "--lambda", "1e-300", "--x", "1e-30")
+        assert code == 2 and out == "" and "lam * x underflows" in err
+
 
 class TestClassify:
     def test_bimodal(self, capsys):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from ncx2shape import density as density_module
+from ncx2shape import shape as shape_module
 from ncx2shape import (
     DomainError,
     InternalConsistencyError,
@@ -32,6 +33,23 @@ from ncx2shape import (
 # mpmath references
 DENSITY_1_5_3 = 0.10147162035407797
 DENSITY_3_1000_900 = 0.0016906109563535152
+
+# (nu, lam, x, l', l'', l''') with t = sqrt(lam x) <= 30: mpmath.diff of the
+# log density at 60 digits, with log I from mpmath.besseli, rounded to double.
+DERIVATIVE_PINS = (
+    (0.3, 0.7, 0.05, -16.389466355500023, 338.9351140909336, -13597.808140343655),
+    (0.3, 5.0, 20.0, -0.2830901538015513, -0.004614042151191197, 0.0003066692843890955),
+    (1.0, 5.0, 2.0, 0.03774145628250007, -0.06747196601669898, 0.012321967146587896),
+    (1.0, 30.0, 25.0, 0.027722557505166112, -0.010154451150103322, 0.0005932670690061994),
+    (1.7, 2.0, 0.3, -0.46171001585559285, 1.518422271227327, -11.003194082794725),
+    (1.7, 12.0, 8.0, 0.07093252605289453, -0.033035499925242684, 0.005854879785244612),
+    (3.0, 0.5, 4.0, -0.3010135430599391, -0.03321891716306633, 0.015778420684088097),
+    (3.0, 40.0, 18.0, 0.2453559924999299, -0.020704333124998052, 0.0017253610937498377),
+    (7.5, 10.0, 6.0, 0.3766859551350359, -0.09621152701664469, 0.028571770716255968),
+    (7.5, 60.0, 2.0, 2.8915954395723937, -1.0352736161024139, 0.8827711312626015),
+    (15.0, 1.0, 0.2, 32.033307226176014, -162.500130352916, 1625.0000018257404),
+    (15.0, 25.0, 30.0, 0.06950761846452311, -0.011595864103970246, 0.0006571887012140616),
+)
 
 E_INV_HALF = math.exp(-1.0) / 2.0
 
@@ -199,6 +217,13 @@ class TestLogDensityDerivatives:
             fd3 = finite_difference(lambda y: log_density_d2(p, y), x, 1, h)
             assert hybrid_close(log_density_d3(p, x), fd3, 1e-4)
 
+    @pytest.mark.parametrize("nu,lam,x,d1,d2,d3", DERIVATIVE_PINS)
+    def test_derivatives_match_mpmath(self, nu, lam, x, d1, d2, d3):
+        p = Params(nu=nu, lam=lam)
+        assert hybrid_close(log_density_d1(p, x), d1, 1e-12)
+        assert hybrid_close(log_density_d2(p, x), d2, 1e-12)
+        assert hybrid_close(log_density_d3(p, x), d3, 1e-12)
+
     @pytest.mark.parametrize("nu", [0.5, 1.0, 1.99])
     @pytest.mark.parametrize("lam", [0.1, 5.0, 20.0])
     def test_d2_single_sign_change(self, nu, lam):
@@ -285,16 +310,23 @@ class TestKernelMemo:
             cold.append(fn(p, x))
         assert warm == cold
 
-    def test_self_check_still_sees_a_bad_ratio(self, cold_memo, monkeypatch):
+    @pytest.mark.parametrize("fn", [log_density_d2, log_density_d3, log_density_derivatives,
+                                    lambda p, x: inflection_point(p)],
+                             ids=["log_density_d2", "log_density_d3", "log_density_derivatives",
+                                  "inflection_point"])
+    def test_self_check_still_sees_a_bad_ratio(self, cold_memo, monkeypatch, request, fn):
         # A wrong ratio cached by l' must still fail the l'' check, whose
-        # second lineage rebuilds the ratio from log I values.
+        # second lineage rebuilds the ratio from log I values; l''', the
+        # bundle and the inflection point each run that check.
+        # A tau solved on the bad ratio must not outlive the test.
+        request.addfinalizer(shape_module._critical_lambda_cached.cache_clear)
         original = density_module.bessel_ratio
         monkeypatch.setattr(density_module, "bessel_ratio",
                             lambda mu, t: original(mu, t) * (1.0 + 1e-6))
         p = Params(1, 5)
         log_density_d1(p, 2.0)
         with pytest.raises(InternalConsistencyError):
-            log_density_d2(p, 2.0)
+            fn(p, 2.0)
 
     def test_memos_are_bounded(self, cold_memo):
         p = Params(3, 10)
