@@ -32,7 +32,6 @@ from .density import (
     log_density_derivatives,
 )
 from .errors import (
-    BracketError,
     ConvergenceError,
     DomainError,
     InternalConsistencyError,
@@ -64,7 +63,6 @@ from .shape import (
 
 __all__ = [
     "__version__",
-    "BracketError",
     "ConvergenceError",
     "CriticalLambda",
     "DomainError",

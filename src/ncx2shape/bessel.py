@@ -179,7 +179,8 @@ def _ratio_cf(mu: float, x: float) -> float:
     The first partial denominator b_1 = 2 mu / x can be arbitrarily small for
     tiny orders, which degrades Lentz's scheme, so the fraction is started at
     level two (its value is r_{mu+1}) and the outermost step is applied
-    explicitly; all quantities involved are positive, so that step is stable.
+    explicitly; all quantities involved are positive, so that step is stable
+    and c and d never vanish (no zero guards).
     """
     b1 = 2.0 * mu / x
     f = _TINY
@@ -187,13 +188,8 @@ def _ratio_cf(mu: float, x: float) -> float:
     d = 0.0
     for j in range(2, CF_MAX_ITER + 2):
         b = 2.0 * (mu + j - 1.0) / x
-        d = b + d
-        if d == 0.0:
-            d = _TINY
         c = b + 1.0 / c
-        if c == 0.0:
-            c = _TINY
-        d = 1.0 / d
+        d = 1.0 / (b + d)
         delta = c * d
         f *= delta
         if abs(delta - 1.0) < CF_TOL:
@@ -215,9 +211,11 @@ def bessel_ratio(mu: float, x: float) -> float:
       to x / (2 mu) exactly, so no lgamma or exp is evaluated, nothing
       underflows at tiny x, and the order mu - 1 is never formed, which
       keeps every bit of tiny orders mu,
-    * moderate x: forward continued fraction,
-    * large x: quotient of the two exponentially scaled asymptotic sums
-      (the e^x / sqrt(2 pi x) prefactors cancel).
+    * 1 <= x < max(30 + 2(|mu| + 1), mu^2 / 2): forward continued fraction,
+    * larger x: quotient of the two exponentially scaled asymptotic sums
+      (the e^x / sqrt(2 pi x) prefactors cancel), right only above about
+      mu^2 / 2 (DLMF 10.40); :func:`log_bessel_i` still uses it from
+      30 + 2|mu| on, so its values in between are wrong.
 
     Relative error is below 1e-12 everywhere; the branches agree to ~1e-14
     in their overlap bands.
@@ -227,7 +225,7 @@ def bessel_ratio(mu: float, x: float) -> float:
     _check_positive(x)
     if x < SERIES_RATIO_MAX_X:
         return x * _series_sum(mu, x) / (2.0 * mu * _series_sum(mu, x, shift=1))
-    if x < 30.0 + 2.0 * (abs(mu) + 1.0):
+    if x < max(30.0 + 2.0 * (abs(mu) + 1.0), 0.5 * mu * mu):
         return _ratio_cf(mu, x)
     return _i_scaled_asymptotic(mu, x) / _i_scaled_asymptotic(mu - 1.0, x)
 

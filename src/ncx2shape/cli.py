@@ -30,7 +30,7 @@ from .density import (
     log_density_d1,
     log_density_d2,
 )
-from .errors import BracketError, ConvergenceError, DomainError, InternalConsistencyError
+from .errors import ConvergenceError, DomainError, InternalConsistencyError
 from .modes import DEFAULT_TOL as MODE_TOL
 from .modes import mode_report
 from .oracle import GridSpec
@@ -218,7 +218,7 @@ def main(argv=None) -> int:
     except (UsageError, DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BracketError, ConvergenceError, InternalConsistencyError, ArithmeticError) as exc:
+    except (ConvergenceError, InternalConsistencyError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -84,6 +84,14 @@ def _curvature_slope(nu: float, t: float, r: float) -> float:
     return 0.5 * t * (1.0 - r * r) - 0.5 * t * t * r * dr - 0.25 * nu * (r + t * dr)
 
 
+def _scaled(value: float, xn: float, what: str, x: float) -> float:
+    """value / xn, xn a power of x that may underflow; OverflowError, as in bessel_i, beyond range."""
+    out = value / xn if xn else (math.inf if value else 0.0)
+    if math.isinf(out):
+        raise OverflowError(f"{what} overflows double precision at x={x!r}")
+    return out
+
+
 @dataclass(frozen=True)
 class Params:
     """Degrees of freedom and noncentrality of a noncentral chi-squared law.
@@ -295,10 +303,10 @@ def log_density_d2(p: Params, x: float) -> float:
     _check_x(x)
     nu, lam = p.nu, p.lam
     if lam < LAMBDA_ZERO:
-        return (2.0 - nu) / (2.0 * x * x)
+        return _scaled(2.0 - nu, 2.0 * x * x, "l''", x)
     t = math.sqrt(lam * x)
     mu = 0.5 * nu
-    form_ratio = _curvature(nu, t, _ratio_memo(mu, t)) / (x * x)
+    form_ratio = _scaled(_curvature(nu, t, _ratio_memo(mu, t)), x * x, "l''", x)
     # independent route: rebuild the ratio from log I values
     r_log = math.exp(_log_i_memo(mu, t) - _log_i_memo(mu - 1.0, t))
     d1 = -0.5 + (nu - 2.0) / (2.0 * x) + math.sqrt(lam) / (2.0 * math.sqrt(x)) * r_log
@@ -328,10 +336,11 @@ def log_density_d3(p: Params, x: float) -> float:
     """
     d2 = log_density_d2(p, x)
     if p.lam < LAMBDA_ZERO:
-        return -2.0 * d2 / x
+        return _scaled(-2.0 * d2, x, "l'''", x)
     t = math.sqrt(p.lam * x)
     r = _ratio_memo(0.5 * p.nu, t)
-    return (0.5 * t * _curvature_slope(p.nu, t, r) - 2.0 * _curvature(p.nu, t, r)) / (x * x * x)
+    x3_d3 = 0.5 * t * _curvature_slope(p.nu, t, r) - 2.0 * _curvature(p.nu, t, r)
+    return _scaled(x3_d3, x * x * x, "l'''", x)
 
 
 def log_density_derivatives(p: Params, x: float) -> LogDensityDerivatives:

@@ -32,7 +32,9 @@ evaluated:
   I_{mu-1} - I_{mu+1} = (2 mu / t) I_mu, so s < t^2 / nu and h < 0
   wherever t^2 <= nu (2 - nu).
 
-For nu >= 2 the proven bounds, padded, are checked on h first.
+For nu >= 2 the proven bounds, padded (at nu = 5, lam = 5.96e-8 the mode
+is 6e-16 above its lower bound, where h rounds to 0), are checked on h
+once each; a wrong sign raises :class:`InternalConsistencyError`.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 
 from .density import LAMBDA_ZERO, Params, _ratio_terms
 from .errors import DomainError, InternalConsistencyError
-from .shape import _bisect, _check_tol, _step, critical_lambda
+from .shape import _bisect, _check_tol, critical_lambda
 
 # Position tolerance (relative) for the mode and antimode solvers.
 DEFAULT_TOL = 1e-10
@@ -54,8 +56,6 @@ BOUND_NU_GT_3 = "nu_gt_3"
 BOUND_BIMODAL = "bimodal"
 
 _BRACKET_PAD = 1e-6
-_SQRT_TWO = math.sqrt(2.0)
-_SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -175,21 +175,22 @@ def mode_report(p: Params, tol: float = DEFAULT_TOL) -> ModeReport:
         t = _bisect(_slope_in_t(nu, lam, -1.0), math.sqrt(nu * (2.0 - nu)), tau, 0.0, rtol)[0]
         anti = t * (t / lam)
     else:
-        # The padded bounds are checked, and each end moves outward (by 2 in
-        # x) until the slope has its sign there.  Above t ~ 32 + nu the
-        # large-order Bessel ratio is wrong, and the slope built on it can
-        # have the wrong sign at a proven end; the search then still finds a
-        # sign change, and on some inputs (e.g. nu = 31.764901822735737,
-        # lam = 50.65843935439083) the right root.  Each end gets 200
-        # evaluations.
-        lo = max((nu - 2.0) * (1.0 + lam / nu), 0.0)
-        lo = max(lo - _BRACKET_PAD * max(1.0, lo), 1e-12)
+        concave = (nu - 2.0) * (1.0 + lam / nu)
+        lo = max(concave - _BRACKET_PAD * max(1.0, concave), 1e-12)
         hi = upper + _BRACKET_PAD * max(1.0, upper)
         t_lo, t_hi = math.sqrt(lam * lo), math.sqrt(lam * hi)
-        t_lo = _step(lambda t: slope(t)[0], t_lo, _SQRT_HALF, t_lo * _SQRT_HALF**199, 1.0,
-                     "no positive slope found left of the mode")
-        t_hi = _step(lambda t: slope(t)[0], t_hi, _SQRT_TWO, t_hi * _SQRT_TWO**199, -1.0,
-                     "no negative slope found right of the mode")
+        h_lo, h_hi = slope(t_lo)[0], slope(t_hi)[0]
+        if lo == 1e-12 and not h_lo > 0.0:
+            # The clamp can lie above the mode, half a positive lower bound cannot
+            # (lam + nu - 4 rounds to 0 at nu = 2, lam = 2 + 4e-16).
+            lo = 0.5 * max(concave, (lam - 2.0) + (nu - 2.0))
+            t_lo = math.sqrt(lam * lo)
+            h_lo = slope(t_lo)[0]
+        if not (h_lo > 0.0 and h_hi <= 0.0):
+            raise InternalConsistencyError(
+                f"interior mode outside its bounds [{lower!r}, {upper!r}] at nu={nu}, lam={lam}: "
+                f"2x l'(x) is {h_lo!r} at x={lo!r} and {h_hi!r} at x={hi!r}"
+            )
         t = _bisect(slope, t_lo, t_hi, 0.0, rtol, math.sqrt(lam * 0.5 * (lower + upper)))[0]
         mode = t * (t / lam)
     width = tol * max(1.0, upper)

@@ -17,9 +17,9 @@ Each hands the solver its value and derivative for one Bessel ratio,
 through the kernels in :mod:`ncx2shape.density`.  Every solver finds a
 single sign change the same way: :func:`_bisect` narrows a bracket by
 Newton steps kept inside it, falling back to halving, until
-``hi - lo <= max(xtol, rtol * hi)``; where an end is not a theorem,
-:func:`_step` first grows or shrinks it until the function has the wanted
-sign there.
+``hi - lo <= max(xtol, rtol * hi)``.  No solver searches for a bracket:
+each end is a theorem, or is evaluated once and a wrong sign raises
+:class:`InternalConsistencyError`.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from functools import lru_cache
 
 from .bessel import bessel_ratio
 from .density import LAMBDA_ZERO, Params, _curvature, _curvature_slope, _ratio_terms, log_density_d2
-from .errors import BracketError, ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, InternalConsistencyError
 
 DEFAULT_TOL = 1e-8
 
@@ -39,6 +39,8 @@ DEFAULT_TOL = 1e-8
 CRITICAL_LAMBDA_AT_2 = 2.0
 
 _INFLECTION_REL_TOL = 1e-10
+
+_TAU_MAX = 2.0 * math.sqrt(3.0)  # upper end of the tau bracket
 
 
 @dataclass(frozen=True)
@@ -94,18 +96,6 @@ def criticality_indicator(nu: float, lam: float) -> float:
 def _check_tol(tol: float) -> None:
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tolerance must be finite and > 0, got {tol}")
-
-
-def _step(f, x: float, factor: float, stop: float, sign: float, error: str) -> float:
-    """Scale ``x`` by ``factor`` until ``sign * f(x) > 0``.
-
-    Raises :class:`BracketError` with ``error`` once ``x`` moves past ``stop``.
-    """
-    while not sign * f(x) > 0.0:
-        x *= factor
-        if x < stop if factor < 1.0 else x > stop:
-            raise BracketError(f"{error} (search stopped at {x!r})")
-    return x
 
 
 def _bisect(f, lo: float, hi: float, xtol: float, rtol: float,
@@ -182,9 +172,12 @@ def _critical_lambda_cached(nu: float, tol: float) -> CriticalLambda:
     # tau ~ 2 (12 nu)^(1/6) as nu -> 0 and ~ 2 (2 - nu)^(1/4) as nu -> 2; the
     # smaller of the two is within 15% of tau on all of (0, 2).
     start = 2.0 * min((12.0 * nu) ** (1.0 / 6.0), (2.0 - nu) ** 0.25)
-    # g_nu(0+) = (2 - nu)/2 > 0, and g_nu falls like -t/4 for large t.
-    hi = _step(lambda t: g(t)[0], 1.25 * start, 2.0, 1e3, -1.0, f"no negative g_nu found at nu={nu}")
-    tau, iterations = _bisect(g, 0.0, hi, 0.0, tol, start)
+    # g_nu(0+) = (2 - nu)/2 > 0.  tau_nu peaks at 2.339 near nu = 0.635, and
+    # g_nu(2 sqrt 3) = 4 - nu/2 - 3 r^2 - (sqrt 3 / 2) nu r < 0 on all of
+    # (0, 2) (tested); it is checked here, once per solve.
+    if not g(_TAU_MAX)[0] < 0.0:
+        raise InternalConsistencyError(f"g_nu is not negative at t = 2 sqrt 3, nu={nu}")
+    tau, iterations = _bisect(g, 0.0, _TAU_MAX, 0.0, tol, start)
     # nu - 2.0 is exact; adding tau r to nu first would cancel near nu = 2.
     lambda_nu = tau * tau / (_ratio_terms(nu, tau)[1] + (nu - 2.0))
     return CriticalLambda(nu=nu, lambda_nu=lambda_nu, tau=tau, tol=tol, iterations=iterations)

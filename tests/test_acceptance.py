@@ -222,3 +222,20 @@ def test_criterion_10_normalization_and_mean():
     ok = worst_mass <= 1e-8 and worst_mean <= 1e-6
     assert report(10, "unit mass and mean nu + lambda by quadrature", ok,
                   f"worst mass err {worst_mass:.2e}, worst mean err {worst_mean:.2e}")
+
+
+# 40-digit mpmath roots of l' at large orders.  (50, 100) and (100, 1000)
+# put t = sqrt(lam x) between 32 + nu and nu^2 / 8, where the Bessel ratio
+# used to come from the large-argument expansion and was wrong.
+LARGE_ORDER_MODES = {(20.0, 50.0): 67.147630277633130129,
+                     (50.0, 100.0): 147.19166402046854865,
+                     (100.0, 1000.0): 1097.0462996664161476}
+
+
+def test_criterion_11_large_order_modes():
+    tol = 1e-10
+    gaps = {key: abs(mode_report(Params(*key), tol).interior_mode - ref) / ref
+            for key, ref in LARGE_ORDER_MODES.items()}
+    ok = max(gaps.values()) <= 0.5 * tol
+    assert report(11, "interior modes at nu = 20, 50, 100 against mpmath", ok,
+                  f"worst relative gap {max(gaps.values()):.2e}")

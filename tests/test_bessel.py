@@ -210,6 +210,23 @@ class TestSeriesRangeAgainstMpmath:
             assert hybrid_close(log_bessel_i(below, x), float(log_i_below), 1e-13)
 
 
+class TestRatioAboveSeriesRange:
+    """x >= 1, up to four times the crossover to the large-argument quotient."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(mu=_floats_log_and_flat(1e-16, 50.0).filter(lambda m: m > 1e-16),
+           u=st.floats(min_value=0.0, max_value=1.0))
+    # The quotient used to take over at 32 + 2 mu, far below mu^2 / 2 = 1250:
+    # the ratio came out 34% high here.
+    @example(mu=50.0, u=0.6)
+    def test_ratio(self, mu, u):
+        x = (4.0 * max(32.0 + 2.0 * mu, 0.5 * mu * mu)) ** u
+        with mpmath.workdps(30):
+            m, mx = mpmath.mpf(mu), mpmath.mpf(x)
+            ratio = mpmath.besseli(m, mx) / mpmath.besseli(m - 1, mx)
+        assert abs(bessel_ratio(mu, x) - ratio) <= 4e-15 * ratio
+
+
 class TestRatioDerivative:
     def test_half_order_sech_squared(self):
         expected = 1.0 / math.cosh(1.0) ** 2

@@ -14,7 +14,7 @@ import pytest
 import ncx2shape
 from ncx2shape import Params, critical_lambda, density_bessel
 from ncx2shape.cli import main
-from ncx2shape.errors import BracketError
+from ncx2shape.errors import ConvergenceError
 
 
 def run_cli(capsys, *argv):
@@ -181,10 +181,18 @@ class TestModes:
         assert payload["interior_mode"] is None
         assert payload["bounds_lower"] is None
 
-    def test_mode_outside_its_bounds_exits_3(self, capsys):
-        # The large-order Bessel ratio puts the slope's zero at 1187.9,
-        # outside the proven [1097, 1098]: refused, not printed.
-        code, out, err = run_cli(capsys, "modes", "--nu", "100", "--lambda", "1000")
+    def test_mode_outside_its_bounds_exits_3(self, capsys, monkeypatch):
+        # A ratio 20% too large moves the mode of (4, 5) from 6.11 to 7.76,
+        # outside the proven [6, 7]: refused, not printed.
+        import ncx2shape.modes
+
+        def inflated(nu, t):
+            r, s, ds = terms(nu, t)
+            return 1.2 * r, 1.2 * s, 1.2 * ds
+
+        terms = ncx2shape.modes._ratio_terms
+        monkeypatch.setattr(ncx2shape.modes, "_ratio_terms", inflated)
+        code, out, err = run_cli(capsys, "modes", "--nu", "4", "--lambda", "5")
         assert code == 3
         assert out == ""
         assert "outside its bounds" in err
@@ -210,7 +218,7 @@ class TestEnvelope:
         import ncx2shape.cli as climod
 
         def boom(nu, tol):
-            raise BracketError("forced failure")
+            raise ConvergenceError("forced failure")
 
         monkeypatch.setattr(climod, "critical_lambda", boom)
         code, _, err = run_cli(capsys, "critical-table", "--nu", "1")

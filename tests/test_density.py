@@ -192,6 +192,21 @@ class TestLogDensityDerivatives:
         for x in (0.5, 2.0, 10.0):
             assert hybrid_close(log_density_d2(p, x), (2.0 - 4.0) / (2.0 * x * x), 1e-14)
 
+    @pytest.mark.parametrize("lam", [1.0, 0.0])
+    def test_underflowing_power_of_x_raises_overflow(self, lam):
+        # x^2 underflows to 0 at x = 1e-170, and x^3 at 1e-110: l'' and l'''
+        # lie beyond double range there, which used to surface as a bare
+        # ZeroDivisionError.
+        p = Params(nu=1, lam=lam)
+        with pytest.raises(OverflowError, match="l'' overflows"):
+            log_density_d2(p, 1e-170)
+        with pytest.raises(OverflowError, match="l'' overflows"):
+            log_density_d3(p, 1e-170)
+        with pytest.raises(OverflowError, match="l''' overflows"):
+            log_density_d3(p, 1e-110)
+        # At nu = 2, lam = 0 both vanish identically.
+        assert log_density_d2(Params(nu=2, lam=0), 1e-170) == 0.0
+
     def test_d3_central_closed_form(self):
         # third derivative of (nu/2 - 1) log x - x/2 is (nu - 2)/x^3
         p = Params(nu=4, lam=0)

@@ -191,11 +191,14 @@ class TestModeReport:
         with pytest.raises(InternalConsistencyError, match="outside its bounds"):
             mode_report(Params(nu=4, lam=5))
 
-    def test_large_order_mode_outside_its_bounds_raises(self):
-        # At nu = 100 the large-order Bessel ratio is wrong, and the slope
-        # built on it vanishes at 1187.9, outside [1097, 1098].
-        with pytest.raises(InternalConsistencyError, match="outside its bounds"):
-            mode_report(Params(nu=100, lam=1000))
+    def test_large_order_mode_matches_mpmath(self):
+        # 40-digit mpmath root 1097.046299666416.  The ratio used to switch to
+        # the large-argument expansion at t = 132, far below mu^2 / 2 = 1250,
+        # and the slope built on it vanished at 1187.9.
+        tol = 1e-10
+        x = mode_report(Params(nu=100, lam=1000), tol).interior_mode
+        assert abs(x - 1097.046299666416) <= 0.5 * tol * x
+        assert _mp_slope(100, 1000, x - tol * x) > 0 > _mp_slope(100, 1000, x + tol * x)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_tolerance_in_every_regime(self, tol):

@@ -12,8 +12,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import ncx2shape.shape as shape_module
 from ncx2shape import (
     DomainError,
+    InternalConsistencyError,
     Params,
     antimode,
     bessel_ratio,
@@ -133,6 +135,29 @@ class TestCriticalLambda:
             root = critical_lambda(nu).lambda_nu
             assert root > 2.0
             assert root > 4.0 - nu
+
+    def test_tau_bracket_upper_end(self):
+        # The tau solve brackets on [0, 2 sqrt 3].  tau_nu peaks at 2.339 near
+        # nu = 0.635, and g_nu(2 sqrt 3) < 0 across (0, 2), ends included.
+        nus = np.concatenate([np.geomspace(1e-16, 1e-2, 200), np.linspace(1e-2, 1.99, 400),
+                              2.0 - np.geomspace(1e-2, 1e-12, 200)])
+        assert max(g_nu(float(nu), shape_module._TAU_MAX) for nu in nus) < 0.0
+        taus = [critical_lambda(float(nu)).tau for nu in np.linspace(0.6, 0.67, 15)]
+        assert 2.33 < max(taus) < 2.34
+
+    def test_tau_bracket_end_of_wrong_sign_raises(self, monkeypatch):
+        def halved(nu, t):
+            r, s, ds = terms(nu, t)
+            return 0.5 * r, 0.5 * s, 0.5 * ds
+
+        terms = shape_module._ratio_terms
+        monkeypatch.setattr(shape_module, "_ratio_terms", halved)
+        _critical_lambda_cached.cache_clear()
+        try:
+            with pytest.raises(InternalConsistencyError, match="not negative"):
+                critical_lambda(1.0)
+        finally:
+            _critical_lambda_cached.cache_clear()
 
     def test_metadata(self):
         res = critical_lambda(1.0, tol=1e-8)
@@ -304,8 +329,7 @@ def _t(lam, x):
 
 
 # (function, lo, hi, xtol, rtol, start): the tau solve at three nu, the
-# interior mode of (1, 5), and the mode of (60, 500), where the large-order
-# Bessel ratio is inaccurate and the derivative does not match the slope.
+# interior mode of (1, 5), and the mode of (60, 500) on a wide bracket.
 # The modes are solved in t = sqrt(lam x), on the solvers' one-ratio h(t),
 # over the x brackets [1.02, 3.000003] and [550, 2000] from 3 and 557.5.
 ROOT_PROBLEMS = {
