@@ -2,7 +2,9 @@
 
 Three building blocks cover the whole argument range:
 
-* the ascending power series, whose terms are all positive (no cancellation),
+* the ascending power series, whose terms are all positive (no cancellation);
+  the series of I_mu and I_{mu-1} are summed together in one loop where both
+  are needed,
 * an exponentially scaled large-argument expansion for e^{-x} I_mu(x),
 * a continued fraction for the ratio r_mu(x) = I_mu(x) / I_{mu-1}(x).
 
@@ -10,8 +12,9 @@ The ratio is the workhorse for the log-density derivatives of the noncentral
 chi-squared family, so it is always evaluated by ratio-stable methods and
 never by dividing two possibly overflowing function values.  Orders far
 beyond |mu| ~ 50 are outside the intended use of this module; the callers
-only ever need mu = nu/2 and mu = (nu - 2)/2 for moderate degrees of
-freedom nu.
+only ever need mu = nu/2 and mu - 1 for moderate degrees of freedom nu.
+The density needs r_mu, log I_{mu-1} and log I_mu at the same point, and
+:func:`ratio_and_log_i` gives them from shared sums where they share any.
 
 All functions are pure and safe to call concurrently.
 """
@@ -56,25 +59,45 @@ def _series_crossover(mu: float) -> float:
     return 30.0 + 2.0 * abs(mu)
 
 
-def _series_sum(mu: float, x: float, shift: int = 0) -> float:
-    """Ascending series of I_{mu-shift}(x) divided by its first term.
+def _series_sum(mu: float, x: float) -> float:
+    """Ascending series of I_mu(x) divided by its first term.
 
-    The sum over k of prod_{j<=k} q / (j (mu + (j - shift))), q = x^2 / 4.
-    Every term is positive (no cancellation), the first is 1, so nothing
-    underflows however small x is, and the order mu - shift is never
-    rounded: the integer j - shift is added to mu.  Valid while every
-    mu + (j - shift) is positive, which covers mu > -1 at shift 0 and the
-    ratio's mu > 0 at shift 1.
+    The sum over k of prod_{j<=k} q / (j (mu + j)), q = x^2 / 4.  Every term
+    is positive (no cancellation) and the first is 1, so nothing underflows
+    however small x is.  Valid for mu > -1.
     """
     q = 0.25 * x * x
     term = 1.0
     total = 1.0
     for k in range(1, _SERIES_MAX_TERMS):
-        term *= q / (k * (mu + (k - shift)))
+        term *= q / (k * (mu + k))
         total += term
         if term < _SERIES_EPS * total:
             return total
     raise ConvergenceError(f"I_mu series stalled at mu={mu}, x={x}")
+
+
+def _series_pair(mu: float, x: float) -> tuple[float, float]:
+    """The relative series of I_mu(x) and of I_{mu-1}(x), for mu > 0, in one loop.
+
+    The first is :func:`_series_sum`; the second is the sum over k of
+    prod_{j<=k} q / (j (mu + (j - 1))): the integer j - 1 is added to mu, so
+    the order mu - 1 is never formed and tiny orders keep every bit.  The loop
+    runs until both sums have converged; a term below _SERIES_EPS times its
+    sum is under half an ulp of it, and so is every later, smaller term, so
+    each sum is bit-identical to the one its own loop would return.
+    """
+    q = 0.25 * x * x
+    term = term_lower = 1.0
+    total = total_lower = 1.0
+    for k in range(1, _SERIES_MAX_TERMS):
+        term *= q / (k * (mu + k))
+        term_lower *= q / (k * (mu + (k - 1)))
+        total += term
+        total_lower += term_lower
+        if term_lower < _SERIES_EPS * total_lower and term < _SERIES_EPS * total:
+            return total, total_lower
+    raise ConvergenceError(f"I_mu and I_(mu-1) series stalled at mu={mu}, x={x}")
 
 
 def _log_series_lead(mu: float, x: float) -> float:
@@ -200,17 +223,23 @@ def _ratio_cf(mu: float, x: float) -> float:
     )
 
 
+def _ratio_asymptotic_from(mu: float) -> float:
+    """Argument from which :func:`bessel_ratio` is the asymptotic quotient."""
+    return max(30.0 + 2.0 * (abs(mu) + 1.0), 0.5 * mu * mu)
+
+
 def bessel_ratio(mu: float, x: float) -> float:
     """Ratio r_mu(x) = I_mu(x) / I_{mu-1}(x) for mu > 0, x > 0.
 
     Dispatch:
 
     * x < 1:  x / (2 mu) times Sa / Sb, where Sa and Sb are the power series
-      of I_mu and I_{mu-1} each divided by its first term.  The leading
-      factors (x/2)^mu / Gamma(mu + 1) and (x/2)^(mu-1) / Gamma(mu) cancel
-      to x / (2 mu) exactly, so no lgamma or exp is evaluated, nothing
-      underflows at tiny x, and the order mu - 1 is never formed, which
-      keeps every bit of tiny orders mu,
+      of I_mu and I_{mu-1} each divided by its first term, summed in one
+      loop by :func:`_series_pair`.  The leading factors (x/2)^mu /
+      Gamma(mu + 1) and (x/2)^(mu-1) / Gamma(mu) cancel to x / (2 mu)
+      exactly, so no lgamma or exp is evaluated, nothing underflows at tiny
+      x, and the order mu - 1 is never formed, which keeps every bit of tiny
+      orders mu,
     * 1 <= x < max(30 + 2(|mu| + 1), mu^2 / 2): forward continued fraction,
     * larger x: quotient of the two exponentially scaled asymptotic sums
       (the e^x / sqrt(2 pi x) prefactors cancel), right only above about
@@ -224,10 +253,53 @@ def bessel_ratio(mu: float, x: float) -> float:
         raise DomainError(f"ratio requires order mu > 0, got {mu}")
     _check_positive(x)
     if x < SERIES_RATIO_MAX_X:
-        return x * _series_sum(mu, x) / (2.0 * mu * _series_sum(mu, x, shift=1))
-    if x < max(30.0 + 2.0 * (abs(mu) + 1.0), 0.5 * mu * mu):
+        total, total_lower = _series_pair(mu, x)
+        return x * total / (2.0 * mu * total_lower)
+    if x < _ratio_asymptotic_from(mu):
         return _ratio_cf(mu, x)
     return _i_scaled_asymptotic(mu, x) / _i_scaled_asymptotic(mu - 1.0, x)
+
+
+def ratio_and_log_i(mu: float, x: float) -> tuple[float | None, float, float] | None:
+    """(r_mu(x), log I_{mu-1}(x), log I_mu(x)) from shared sums, for mu > 0, x > 0.
+
+    Two bands share their sums:
+
+    * below the series crossover of the order mu - 1, one
+      :func:`_series_pair` loop gives both logs, and r too where
+      :func:`bessel_ratio` takes the series quotient (x < 1).  r is None
+      where it takes the continued fraction.  log I_mu is the series value
+      of :func:`log_bessel_i`.  For mu >= 1/2, where mu - 1 is exact, the
+      band lies below both orders' crossovers and log I_{mu-1} is the
+      series value of ``log_bessel_i(mu - 1, x)`` too: all bit-identical.
+      For mu < 1/2, log I_{mu-1} = log I_mu - log(x Sa / (2 mu Sb)): no
+      lgamma(mu) ~ -log(mu) cancels against log Sb, and the order mu - 1,
+      which rounds (to -1 below mu = 2^-54), is never formed.  The band
+      then also covers 30 + 2 mu <= x < 32 - 2 mu, where the series of
+      I_mu is as accurate as the asymptotic sum that :func:`log_bessel_i`
+      takes;
+    * where :func:`bessel_ratio` is the asymptotic quotient, its two scaled
+      sums give all three values, bit-identical to the single kernels.
+
+    Elsewhere the result is None, and the caller uses the single kernels.
+    """
+    if math.isnan(mu) or mu <= 0.0:
+        raise DomainError(f"ratio requires order mu > 0, got {mu}")
+    _check_positive(x)
+    if x < _series_crossover(mu - 1.0):
+        total, total_lower = _series_pair(mu, x)
+        quotient = x * total / (2.0 * mu * total_lower)
+        log_i = _log_series_lead(mu, x) + math.log(total)
+        if mu >= 0.5:
+            log_i_lower = _log_series_lead(mu - 1.0, x) + math.log(total_lower)
+        else:
+            log_i_lower = log_i - math.log(quotient)
+        return (quotient if x < SERIES_RATIO_MAX_X else None), log_i_lower, log_i
+    if x >= _ratio_asymptotic_from(mu):
+        scaled = _i_scaled_asymptotic(mu, x)
+        scaled_lower = _i_scaled_asymptotic(mu - 1.0, x)
+        return scaled / scaled_lower, x + math.log(scaled_lower), x + math.log(scaled)
+    return None
 
 
 def bessel_ratio_derivative(mu: float, x: float) -> float:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .bessel import bessel_ratio, log_bessel_i
+from .bessel import bessel_ratio, log_bessel_i, ratio_and_log_i
 from .errors import ConvergenceError, DomainError, InternalConsistencyError
 
 _LOG2 = math.log(2.0)
@@ -41,18 +41,22 @@ _SERIES_MAX_TERMS = 200_000
 _REL_TAIL_EPS = 1e-16
 
 
-# A row l, l', l'' at one point needs r_mu(t), log I_{mu-1}(t) and log I_mu(t)
-# once each, but the public functions are called one at a time.  These memos
-# keep the last few kernel values, keyed by (order, t); a miss calls the
-# module-level kernel, and the kernels are pure, so values are unchanged.
+# A row l, l', l'' at one point needs r_mu(t), log I_{mu-1}(t) and log I_mu(t),
+# mu = nu/2, but the public functions are called one at a time.  This memo
+# keeps the last few points' triples, keyed by (mu, t).  A miss takes what
+# ratio_and_log_i shares (one series loop below the series crossover, the
+# asymptotic sums where the ratio is their quotient) and calls the
+# module-level kernels for the rest: bessel_ratio wherever the ratio is the
+# continued fraction, so the l'' check there compares two lineages, and
+# log_bessel_i where nothing is shared.
 @functools.lru_cache(maxsize=2)
-def _ratio_memo(mu: float, t: float) -> float:
-    return bessel_ratio(mu, _bessel_argument(t))
-
-
-@functools.lru_cache(maxsize=4)
-def _log_i_memo(mu: float, t: float) -> float:
-    return log_bessel_i(mu, _bessel_argument(t))
+def _bessel_memo(mu: float, t: float) -> tuple[float, float, float]:
+    x = _bessel_argument(t)
+    shared = ratio_and_log_i(mu, x)
+    if shared is None:
+        return bessel_ratio(mu, x), log_bessel_i(mu - 1.0, x), log_bessel_i(mu, x)
+    r, log_i_lower, log_i = shared
+    return (bessel_ratio(mu, x) if r is None else r), log_i_lower, log_i
 
 
 def _bessel_argument(t: float) -> float:
@@ -252,7 +256,7 @@ def log_density(p: Params, x: float) -> float:
     return (
         -0.5 * (x + lam)
         + 0.25 * (nu - 2.0) * (math.log(x) - math.log(lam))
-        + _log_i_memo(0.5 * (nu - 2.0), t)
+        + _bessel_memo(0.5 * nu, t)[1]
         - _LOG2
     )
 
@@ -277,22 +281,23 @@ def log_density_d1(p: Params, x: float) -> float:
     if lam < LAMBDA_ZERO:
         return -0.5 + (nu - 2.0) / (2.0 * x)
     t = math.sqrt(lam * x)
-    return -0.5 + (nu - 2.0) / (2.0 * x) + math.sqrt(lam) / (2.0 * math.sqrt(x)) * _ratio_memo(0.5 * nu, t)
+    return -0.5 + (nu - 2.0) / (2.0 * x) + math.sqrt(lam) / (2.0 * math.sqrt(x)) * _bessel_memo(0.5 * nu, t)[0]
 
 
 def log_density_d2(p: Params, x: float) -> float:
     """Second derivative of the log density, with a built-in self-test.
 
     The returned value is g_nu(t) / x^2 (see :func:`_curvature`), with
-    r = r_{nu/2}(t) from :func:`ncx2shape.bessel.bessel_ratio`.  The same
-    quantity is then rebuilt through the slope form
+    r = r_{nu/2}(t) as :func:`ncx2shape.bessel.bessel_ratio` computes it.
+    The same quantity is then rebuilt through the slope form
 
         (lam+nu-4)/(4x) - 1/4 - l'(x) (l'(x) + 1 - (nu-4)/(2x))
 
-    where l' is assembled from the independent log-Bessel route for r.  The
-    two forms coincide algebraically, so any disagreement beyond rounding
-    signals a defect in the Bessel layer and raises
-    :class:`InternalConsistencyError`.
+    where l' is assembled from r rebuilt as exp(log I_{nu/2} - log I_{nu/2-1}).
+    Wherever r is the continued fraction, the logs come from other sums, so
+    the two forms are independent lineages; they coincide algebraically,
+    so any disagreement beyond rounding signals a defect in the Bessel layer
+    and raises :class:`InternalConsistencyError`.
 
     In the strongly noncentral regime lam/x >> 1 the slope form cancels its
     leading O(lam/(4x)) terms down to an O(1) result, so the comparison
@@ -306,9 +311,10 @@ def log_density_d2(p: Params, x: float) -> float:
         return _scaled(2.0 - nu, 2.0 * x * x, "l''", x)
     t = math.sqrt(lam * x)
     mu = 0.5 * nu
-    form_ratio = _scaled(_curvature(nu, t, _ratio_memo(mu, t)), x * x, "l''", x)
-    # independent route: rebuild the ratio from log I values
-    r_log = math.exp(_log_i_memo(mu, t) - _log_i_memo(mu - 1.0, t))
+    r, log_i_lower, log_i = _bessel_memo(mu, t)
+    form_ratio = _scaled(_curvature(nu, t, r), x * x, "l''", x)
+    # second route: rebuild the ratio from the log I values
+    r_log = math.exp(log_i - log_i_lower)
     d1 = -0.5 + (nu - 2.0) / (2.0 * x) + math.sqrt(lam) / (2.0 * math.sqrt(x)) * r_log
     form_slope = (lam + nu - 4.0) / (4.0 * x) - 0.25 - d1 * (d1 + 1.0 - (nu - 4.0) / (2.0 * x))
     gap = abs(form_ratio - form_slope)
@@ -338,7 +344,7 @@ def log_density_d3(p: Params, x: float) -> float:
     if p.lam < LAMBDA_ZERO:
         return _scaled(-2.0 * d2, x, "l'''", x)
     t = math.sqrt(p.lam * x)
-    r = _ratio_memo(0.5 * p.nu, t)
+    r = _bessel_memo(0.5 * p.nu, t)[0]
     x3_d3 = 0.5 * t * _curvature_slope(p.nu, t, r) - 2.0 * _curvature(p.nu, t, r)
     return _scaled(x3_d3, x * x * x, "l'''", x)
 

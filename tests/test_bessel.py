@@ -24,7 +24,14 @@ from ncx2shape import (
     ratio_asymptotic,
     ratio_eval,
 )
-from ncx2shape.bessel import _i_scaled_asymptotic, _i_series, _ratio_cf, _series_crossover
+from ncx2shape.bessel import (
+    _i_scaled_asymptotic,
+    _i_series,
+    _ratio_asymptotic_from,
+    _ratio_cf,
+    _series_crossover,
+    ratio_and_log_i,
+)
 
 # mpmath references
 I_HALF_AT_1 = 0.9376748882454876
@@ -225,6 +232,79 @@ class TestRatioAboveSeriesRange:
             m, mx = mpmath.mpf(mu), mpmath.mpf(x)
             ratio = mpmath.besseli(m, mx) / mpmath.besseli(m - 1, mx)
         assert abs(bessel_ratio(mu, x) - ratio) <= 4e-15 * ratio
+
+
+def _mp_log_i(mu, x, shift=0):
+    """log I_{mu - shift}(x) at 40 digits, the order formed at that precision."""
+    with mpmath.workdps(40):
+        return float(mpmath.log(mpmath.besseli(mpmath.mpf(mu) - shift, mpmath.mpf(x))))
+
+
+class TestSharedKernel:
+    """ratio_and_log_i against bessel_ratio, log_bessel_i and mpmath."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(mu=_floats_log_and_flat(1e-20, 50.0), u=st.floats(min_value=0.0, max_value=1.0))
+    def test_asymptotic_band_is_bit_identical(self, mu, u):
+        x = _ratio_asymptotic_from(mu) * 1e4 ** u
+        r, log_i_lower, log_i = ratio_and_log_i(mu, x)
+        assert r == bessel_ratio(mu, x)
+        assert log_i == log_bessel_i(mu, x)
+        if mu - 1.0 > -1.0:
+            assert log_i_lower == log_bessel_i(mu - 1.0, x)
+        else:
+            assert hybrid_close(log_i_lower, _mp_log_i(mu, x, 1), 1e-14)
+
+    @settings(max_examples=150, deadline=None)
+    @given(mu=_floats_log_and_flat(1e-20, 50.0), u=st.floats(min_value=0.0, max_value=1.0))
+    @example(mu=5e-17, u=0.5)
+    @example(mu=0.25, u=0.995)
+    def test_series_band_matches_the_single_kernels(self, mu, u):
+        # x runs log-uniformly over [1e-300, 30 + 2|mu - 1|), the series band.
+        x = 1e-300 ** (1.0 - u) * _series_crossover(mu - 1.0) ** u
+        if x >= _series_crossover(mu - 1.0):
+            return
+        r, log_i_lower, log_i = ratio_and_log_i(mu, x)
+        assert r == (bessel_ratio(mu, x) if x < 1.0 else None)
+        if x < _series_crossover(mu):
+            assert log_i == log_bessel_i(mu, x)
+        else:
+            # mu < 1/2 and 30 + 2 mu <= x: the series against the asymptotic sum
+            assert abs(log_i - log_bessel_i(mu, x)) <= 4.0 * math.ulp(abs(log_i))
+        if mu >= 0.5:
+            assert log_i_lower == log_bessel_i(mu - 1.0, x)
+            return
+        # log I_mu - log r.  Where mu - 1 is exact, within a few ulp of the
+        # terms of log_bessel_i's sum (7 at most in 77696 random draws);
+        # elsewhere log_bessel_i is handed the rounded order (or -1, outside
+        # its domain), so only mpmath is a fair reference.
+        assert hybrid_close(log_i_lower, _mp_log_i(mu, x, 1), 4e-14)
+        if (mu - 1.0) + 1.0 == mu:
+            terms = max(abs(log_i_lower), abs((mu - 1.0) * math.log(0.5 * x)), abs(math.lgamma(mu)), 1.0)
+            assert abs(log_i_lower - log_bessel_i(mu - 1.0, x)) <= 16.0 * math.ulp(terms)
+
+    def test_series_band_no_farther_from_mpmath(self):
+        # A fixed draw of both logs over the series band, where the single
+        # kernels can answer: the shared values are no farther from 40-digit
+        # mpmath, in total and at worst.
+        rng = np.random.default_rng(23)
+        shared_err, single_err = [], []
+        for _ in range(150):
+            mu = float(rng.choice([rng.uniform(0.0, 50.0), 10.0 ** rng.uniform(-15.0, 1.7)]))
+            hi = _series_crossover(mu - 1.0)
+            x = float(rng.choice([rng.uniform(0.0, hi), 10.0 ** rng.uniform(-300.0, math.log10(hi))]))
+            if not (0.0 < mu <= 50.0 and 0.0 < x < hi):
+                continue
+            _, log_i_lower, log_i = ratio_and_log_i(mu, x)
+            for got, shift in ((log_i_lower, 1), (log_i, 0)):
+                ref = _mp_log_i(mu, x, shift)
+                scale = max(1.0, abs(ref))
+                shared_err.append(abs(got - ref) / scale)
+                single_err.append(abs(log_bessel_i(mu - shift, x) - ref) / scale)
+        assert len(shared_err) > 200
+        assert sum(shared_err) <= sum(single_err)
+        assert max(shared_err) <= max(single_err)
+        assert max(shared_err) < 2e-14
 
 
 class TestRatioDerivative:

@@ -101,6 +101,12 @@ class TestEval:
                                  "--format", fmt)
         assert code == 3 and out == "" and "numerical failure" in err
 
+    def test_tiny_nu(self, capsys):
+        # nu/2 - 1 rounds to the order -1 here; the row still answers.
+        env = run_json(capsys, "eval", "--nu", "1e-16", "--lambda", "5", "--x", "3")
+        row = env["payload"]["rows"][0]
+        assert row["log_density"] == -2.27474676249
+
     def test_underflowing_bessel_argument_exits_2(self, capsys):
         # lam * x = 1e-330 rounds to 0, so t = sqrt(lam x) would be 0.
         code, out, err = run_cli(capsys, "eval", "--nu", "3", "--lambda", "1e-300", "--x", "1e-30")

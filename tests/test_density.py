@@ -239,6 +239,21 @@ class TestLogDensityDerivatives:
         assert hybrid_close(log_density_d2(p, x), d2, 1e-12)
         assert hybrid_close(log_density_d3(p, x), d3, 1e-12)
 
+    # nu = 1e-16, lam = 5: the order nu/2 - 1 rounds to -1, outside the
+    # domain of log_bessel_i, so log I_{nu/2-1} must come from the shared
+    # kernel, which never forms that order (series at x = 3, asymptotic sums
+    # at x = 300).  (x, l, l', l''): mpmath at 60 digits, mpmath.diff for
+    # the derivatives.
+    @pytest.mark.parametrize("x,l,d1,d2", [
+        (3.0, -2.2747467624915267, -0.0814040912268723, -0.03761980735701911),
+        (300.0, -119.26754001026606, -0.43793370868247833, -9.933312669494385e-05),
+    ])
+    def test_tiny_nu_matches_mpmath(self, x, l, d1, d2):
+        p = Params(nu=1e-16, lam=5.0)
+        assert abs(log_density(p, x) - l) <= 1e-14 * abs(l)
+        assert abs(log_density_d1(p, x) - d1) <= 1e-13 * abs(d1)
+        assert abs(log_density_d2(p, x) - d2) <= 1e-12 * abs(d2)
+
     @pytest.mark.parametrize("nu", [0.5, 1.0, 1.99])
     @pytest.mark.parametrize("lam", [0.1, 5.0, 20.0])
     def test_d2_single_sign_change(self, nu, lam):
@@ -270,8 +285,7 @@ class TestLogDensityDerivatives:
 
 
 def _clear_memo():
-    density_module._ratio_memo.cache_clear()
-    density_module._log_i_memo.cache_clear()
+    density_module._bessel_memo.cache_clear()
 
 
 @pytest.fixture
@@ -285,7 +299,7 @@ def cold_memo():
 @pytest.fixture
 def kernel_calls(cold_memo, monkeypatch):
     """Count the density module's kernel calls, memo misses only."""
-    calls = {"bessel_ratio": [], "log_bessel_i": []}
+    calls = {"bessel_ratio": [], "log_bessel_i": [], "ratio_and_log_i": []}
     for name, seen in calls.items():
         original = getattr(density_module, name)
 
@@ -298,22 +312,44 @@ def kernel_calls(cold_memo, monkeypatch):
 
 
 class TestKernelMemo:
+    # Points in each band of the shared kernel: the continued-fraction ratio
+    # with the series logs, the series quotient (t < 1), the asymptotic sums
+    # (twice), and the band where nothing is shared (30.5 <= t < 33.5 at
+    # mu = 0.75).
     POINTS = ((Params(1, 5), 2.0), (Params(0.3, 0.7), 0.05), (Params(7.5, 40), 60.0),
-              (Params(60, 500), 700.0))
+              (Params(60, 500), 700.0), (Params(1.5, 32), 32.0))
 
     @pytest.mark.parametrize("p,x", POINTS)
-    def test_row_takes_each_kernel_value_once(self, kernel_calls, p, x):
+    def test_row_takes_each_kernel_value_once(self, cold_memo, p, x):
+        # A row is one memo miss.
         log_density(p, x)
         log_density_d1(p, x)
         log_density_d2(p, x)
-        assert len(kernel_calls["bessel_ratio"]) == 1
-        assert len(kernel_calls["log_bessel_i"]) == 2
+        info = density_module._bessel_memo.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
     @pytest.mark.parametrize("p,x", POINTS)
     def test_bundle_takes_no_more(self, kernel_calls, p, x):
         log_density_derivatives(p, x)
+        assert len(kernel_calls["ratio_and_log_i"]) == 1
         assert len(kernel_calls["bessel_ratio"]) <= 1
         assert len(kernel_calls["log_bessel_i"]) <= 2
+
+    def test_continued_fraction_row_takes_one_ratio_call(self, kernel_calls):
+        # At t = sqrt(10) the ratio is the continued fraction, called through
+        # the density's own binding, and both logs come from the shared series.
+        p = Params(1, 5)
+        log_density(p, 2.0)
+        log_density_d1(p, 2.0)
+        log_density_d2(p, 2.0)
+        assert kernel_calls["bessel_ratio"] == [(0.5, math.sqrt(10.0))]
+        assert kernel_calls["log_bessel_i"] == []
+
+    def test_unshared_row_takes_the_single_kernels(self, kernel_calls):
+        p, x = Params(1.5, 32), 32.0
+        log_density_derivatives(p, x)
+        assert len(kernel_calls["bessel_ratio"]) == 1
+        assert sorted(mu for mu, _ in kernel_calls["log_bessel_i"]) == [-0.25, 0.75]
 
     @pytest.mark.parametrize("p,x", POINTS)
     def test_values_equal_cold_calls(self, p, x):
@@ -343,10 +379,9 @@ class TestKernelMemo:
         with pytest.raises(InternalConsistencyError):
             fn(p, 2.0)
 
-    def test_memos_are_bounded(self, cold_memo):
+    def test_memo_is_bounded(self, cold_memo):
         p = Params(3, 10)
         for x in np.linspace(0.5, 20.0, 50):
             log_density_d2(p, float(x))
-        for memo in (density_module._ratio_memo, density_module._log_i_memo):
-            info = memo.cache_info()
-            assert info.maxsize is not None and info.currsize <= info.maxsize <= 4
+        info = density_module._bessel_memo.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize <= 4
