@@ -6,6 +6,7 @@ Three building blocks cover the whole argument range:
   the series of I_mu and I_{mu-1} are summed together in one loop where both
   are needed,
 * an exponentially scaled large-argument expansion for e^{-x} I_mu(x),
+  again summed for I_mu and I_{mu-1} in one loop where both are needed,
 * a continued fraction for the ratio r_mu(x) = I_mu(x) / I_{mu-1}(x).
 
 The ratio is the workhorse for the log-density derivatives of the noncentral
@@ -136,6 +137,45 @@ def _i_scaled_asymptotic(mu: float, x: float) -> float:
     return total / math.sqrt(2.0 * math.pi * x)
 
 
+def _asymptotic_pair(mu: float, x: float) -> tuple[float, float]:
+    """(e^{-x} I_mu(x), e^{-x} I_{mu-1}(x)) as two :func:`_i_scaled_asymptotic` calls, in one loop.
+
+    Each sum runs on its own stop rules until both have stopped, and the
+    shared factors (2k - 1)^2 and 8 k x are the same expressions, so both
+    values are bit-identical to the single calls.
+    """
+    four_mu_sq = 4.0 * mu * mu
+    lower = mu - 1.0
+    four_lower_sq = 4.0 * lower * lower
+    c = c_lower = 1.0
+    total = total_lower = 1.0
+    prev = prev_lower = 1.0
+    open_upper = open_lower = True
+    for k in range(1, 1000):
+        odd_sq = (2.0 * k - 1.0) ** 2
+        scale = 8.0 * k * x
+        if open_upper:
+            c *= -(four_mu_sq - odd_sq) / scale
+            if abs(c) > prev:
+                open_upper = False
+            else:
+                prev = abs(c)
+                total += c
+                open_upper = abs(c) >= _ASYM_EPS * abs(total)
+        if open_lower:
+            c_lower *= -(four_lower_sq - odd_sq) / scale
+            if abs(c_lower) > prev_lower:
+                open_lower = False
+            else:
+                prev_lower = abs(c_lower)
+                total_lower += c_lower
+                open_lower = abs(c_lower) >= _ASYM_EPS * abs(total_lower)
+        if not (open_upper or open_lower):
+            break
+    root = math.sqrt(2.0 * math.pi * x)
+    return total / root, total_lower / root
+
+
 def bessel_i(mu: float, x: float) -> float:
     """Modified Bessel function of the first kind, I_mu(x).
 
@@ -203,20 +243,23 @@ def _ratio_cf(mu: float, x: float) -> float:
     tiny orders, which degrades Lentz's scheme, so the fraction is started at
     level two (its value is r_{mu+1}) and the outermost step is applied
     explicitly; all quantities involved are positive, so that step is stable
-    and c and d never vanish (no zero guards).
+    and c and d never vanish (no zero guards).  The stop test low <= delta <
+    high is |delta - 1| < CF_TOL for CF_TOL = 1e-15, as delta - 1 is exact.
     """
-    b1 = 2.0 * mu / x
-    f = _TINY
-    c = f
+    two_over_x = 2.0 / x
+    low, high = 1.0 - CF_TOL, 1.0 + CF_TOL
+    order = mu
+    f = c = _TINY
     d = 0.0
-    for j in range(2, CF_MAX_ITER + 2):
-        b = 2.0 * (mu + j - 1.0) / x
+    for _ in range(CF_MAX_ITER):
+        order += 1.0
+        b = order * two_over_x
         c = b + 1.0 / c
         d = 1.0 / (b + d)
         delta = c * d
         f *= delta
-        if abs(delta - 1.0) < CF_TOL:
-            return 1.0 / (b1 + f)
+        if low <= delta < high:
+            return 1.0 / (mu * two_over_x + f)
     raise ConvergenceError(
         f"Bessel ratio continued fraction hit the {CF_MAX_ITER} iteration cap "
         f"at mu={mu}, x={x}"
@@ -241,8 +284,9 @@ def bessel_ratio(mu: float, x: float) -> float:
       x, and the order mu - 1 is never formed, which keeps every bit of tiny
       orders mu,
     * 1 <= x < max(30 + 2(|mu| + 1), mu^2 / 2): forward continued fraction,
-    * larger x: quotient of the two exponentially scaled asymptotic sums
-      (the e^x / sqrt(2 pi x) prefactors cancel), right only above about
+    * larger x: quotient of the two exponentially scaled asymptotic sums,
+      summed in one loop by :func:`_asymptotic_pair` (the e^x /
+      sqrt(2 pi x) prefactors cancel), right only above about
       mu^2 / 2 (DLMF 10.40); :func:`log_bessel_i` still uses it from
       30 + 2|mu| on, so its values in between are wrong.
 
@@ -257,7 +301,8 @@ def bessel_ratio(mu: float, x: float) -> float:
         return x * total / (2.0 * mu * total_lower)
     if x < _ratio_asymptotic_from(mu):
         return _ratio_cf(mu, x)
-    return _i_scaled_asymptotic(mu, x) / _i_scaled_asymptotic(mu - 1.0, x)
+    scaled, scaled_lower = _asymptotic_pair(mu, x)
+    return scaled / scaled_lower
 
 
 def ratio_and_log_i(mu: float, x: float) -> tuple[float | None, float, float] | None:
@@ -296,8 +341,7 @@ def ratio_and_log_i(mu: float, x: float) -> tuple[float | None, float, float] | 
             log_i_lower = log_i - math.log(quotient)
         return (quotient if x < SERIES_RATIO_MAX_X else None), log_i_lower, log_i
     if x >= _ratio_asymptotic_from(mu):
-        scaled = _i_scaled_asymptotic(mu, x)
-        scaled_lower = _i_scaled_asymptotic(mu - 1.0, x)
+        scaled, scaled_lower = _asymptotic_pair(mu, x)
         return scaled / scaled_lower, x + math.log(scaled_lower), x + math.log(scaled)
     return None
 

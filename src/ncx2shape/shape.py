@@ -13,8 +13,8 @@ F(t) = t^2 / (t r(t) + nu - 2).  The paper's indicator is a cross-check.
 Every root of the shape problem is a root in t of a function of
 s(t) = t r_{nu/2}(t): g_nu for tau, and 2x l'(x) = s + nu - 2 - t^2 / lam
 for the interior mode and the antimode (see :mod:`ncx2shape.modes`).
-Each hands the solver its value and derivative for one Bessel ratio,
-through the kernels in :mod:`ncx2shape.density`.  Every solver finds a
+Each hands the solver its value and slope for one Bessel ratio, through
+the kernels in :mod:`ncx2shape.density`.  Every solver finds a
 single sign change the same way: :func:`_bisect` narrows a bracket by
 Newton steps kept inside it, falling back to halving, until
 ``hi - lo <= max(xtol, rtol * hi)``.  No solver searches for a bracket:
@@ -100,24 +100,28 @@ def _check_tol(tol: float) -> None:
 
 def _bisect(f, lo: float, hi: float, xtol: float, rtol: float,
             x: float | None = None) -> tuple[float, int]:
-    """Midpoint of the final bracket around the sign change of ``f``, and the evaluation count.
+    """A point of the final bracket around the sign change of ``f``, and the evaluation count.
 
-    ``f(x)`` returns ``(value, derivative)``.  The value is positive at
-    ``lo`` and not positive at ``hi``; neither end is evaluated.  Every
-    evaluated point becomes the new ``lo`` or ``hi``, starting from ``x``
-    (default: the midpoint).  The next point is the Newton step from the
-    last one when it stays in the bracket and is at most half the previous
-    step (rtsafe, *Numerical Recipes* 9.4), and the midpoint otherwise.  A
-    Newton step shorter than half the stop width ``w = max(xtol, rtol * x)``
-    closes the bracket instead: ``f`` is evaluated ``w/4`` beyond the Newton
-    point, then ``w/4`` short of it, and when the first of these lands on
-    the side of the last point the next step is the midpoint.  Evaluations
-    other than halvings are capped at the number of halvings the bracket
-    needs, so a derivative that is wrong, zero or NaN at most doubles the
-    cost of plain bisection.  Returns once ``hi - lo <= max(xtol, rtol *
-    hi)``, so the answer always lies within half that width of a sign
-    change; raises :class:`ConvergenceError` once a midpoint no longer
-    splits the bracket.
+    ``f(x)`` returns ``(value, slope)``.  The value is positive at ``lo``
+    and not positive at ``hi``; neither end is evaluated.  Every evaluated
+    point becomes the new ``lo`` or ``hi``, starting from ``x`` (default:
+    the midpoint).  The next point is the Newton step ``x - value / slope``
+    from the last one when it stays in the bracket and is at most half the
+    previous step (rtsafe, *Numerical Recipes* 9.4), and the midpoint
+    otherwise; a slope that is not the derivative changes only the step
+    (the mode solves pass one that makes it Halley's).  A Newton step
+    shorter than half the stop width ``w = max(xtol, rtol * x)`` closes the
+    bracket instead: ``f`` is evaluated ``w/4`` beyond the Newton point,
+    then ``w/4`` short of it, and when the first of these lands on the side
+    of the last point the next step is the midpoint.  Evaluations other
+    than halvings are capped at the number of halvings the bracket needs,
+    so a slope that is wrong, zero or NaN at most doubles the cost of plain
+    bisection.  Returns once ``hi - lo <= max(xtol, rtol * hi)``: the
+    Newton point of the closing pair when the loop ends on one and that
+    point lies in the final bracket (it is then within ``w/4`` of both
+    ends), else the bracket's midpoint, so the answer always lies within
+    half that width of a sign change; raises :class:`ConvergenceError` once
+    a midpoint no longer splits the bracket.
     """
     evals = 0
     last = hi - lo
@@ -128,6 +132,7 @@ def _bisect(f, lo: float, hi: float, xtol: float, rtol: float,
     else:
         spare -= 1
     while hi - lo > max(xtol, rtol * hi):
+        closing = math.nan
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
             if not lo < x < hi:
@@ -155,12 +160,13 @@ def _bisect(f, lo: float, hi: float, xtol: float, rtol: float,
                             hi = y
                         if y_positive == positive:
                             break
+                closing = new
                 new = 0.5 * (lo + hi)
         else:
             new = 0.5 * (lo + hi)
         last = abs(new - x)
         x = new
-    return 0.5 * (lo + hi), evals
+    return (closing if lo <= closing <= hi else 0.5 * (lo + hi)), evals
 
 
 @lru_cache(maxsize=1024)

@@ -14,7 +14,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ncx2shape.bessel as bessel_module
+
 from ncx2shape import (
+    ConvergenceError,
     DomainError,
     bessel_i,
     bessel_ratio,
@@ -25,6 +28,7 @@ from ncx2shape import (
     ratio_eval,
 )
 from ncx2shape.bessel import (
+    _asymptotic_pair,
     _i_scaled_asymptotic,
     _i_series,
     _ratio_asymptotic_from,
@@ -146,6 +150,22 @@ class TestBesselRatio:
             a = _ratio_cf(mu, x)
             b = _i_scaled_asymptotic(mu, x) / _i_scaled_asymptotic(mu - 1.0, x)
             assert abs(a - b) / a < 1e-13
+
+    def test_cf_iteration_cap_raises(self, monkeypatch):
+        # r_1(20) takes 28 levels of the fraction.
+        monkeypatch.setattr(bessel_module, "CF_MAX_ITER", 3)
+        with pytest.raises(ConvergenceError, match="iteration cap"):
+            _ratio_cf(1.0, 20.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(mu=st.floats(min_value=0.0, max_value=50.0, exclude_min=True),
+           u=st.floats(min_value=0.0, max_value=1.0))
+    def test_asymptotic_pair_is_two_single_sums(self, mu, u):
+        # x runs log-uniformly from the ratio's asymptotic crossover to 1e8.
+        start = _ratio_asymptotic_from(mu)
+        x = min(start * (1e8 / start) ** u, 1e8)
+        single = (_i_scaled_asymptotic(mu, x), _i_scaled_asymptotic(mu - 1.0, x))
+        assert _asymptotic_pair(mu, x) == single
 
     @pytest.mark.parametrize("mu", [1e-6, 0.25, 0.5, 1.0, 2.0, 5.0])
     def test_positivity(self, mu):

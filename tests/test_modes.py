@@ -355,20 +355,57 @@ class TestRootsAgainstMpmath:
         x = antimode(Params(nu, lam))
         assert _mp_slope(nu, lam, 0.5 * x) < 0 < _mp_slope(nu, lam, x + 1e-10)
 
+    @pytest.mark.parametrize("nu, lam", [(1, 5), (0.5, 30), (1.5, 20), (4, 5), (10, 100), (50, 200),
+                                         (100, 1000)])
+    def test_printed_digits_match_mpmath(self, nu, lam):
+        # The 12 digits the CLI prints are the rounded 40-digit root.
+        rep = mode_report(Params(nu, lam), 1e-10)
+        roots = [x for x in (rep.interior_mode, rep.antimode) if x is not None]
+        assert len(roots) == (2 if nu < 2 else 1)
+        for x in roots:
+            with mpmath.workdps(40):
+                root = _mp_root(nu, lam, x)
+                assert abs(mpmath.mpf(x) - root) <= 1e-12 * root
+                assert f"{x:.12g}" == f"{float(mpmath.nstr(root, 12)):.12g}"
+
     def test_cold_bimodal_report_ratio_calls(self, monkeypatch):
         # tau, the mode and the antimode of (1, 5) from a cold cache; plain
         # bisection made 101 ratio calls here.
-        calls = []
-        ncx2shape.density._bessel_memo.cache_clear()
-        for module in (ncx2shape.density, shape_module):
-            original = module.bessel_ratio
-
-            def counted(mu, x, original=original):
-                calls.append(x)
-                return original(mu, x)
-
-            monkeypatch.setattr(module, "bessel_ratio", counted)
-        shape_module._critical_lambda_cached.cache_clear()
-        rep = mode_report(Params(nu=1, lam=5))
+        rep, calls = _cold_ratio_calls(monkeypatch, Params(nu=1, lam=5))
         assert rep.interior_mode is not None and rep.antimode is not None
-        assert len(calls) <= 30
+        assert calls <= 15
+
+    def test_cold_log_concave_report_ratio_calls(self, monkeypatch):
+        # Both bracket ends and the mode of (4, 5).
+        rep, calls = _cold_ratio_calls(monkeypatch, Params(nu=4, lam=5))
+        assert rep.interior_mode is not None
+        assert calls <= 6
+
+
+def _mp_root(nu, lam, x):
+    """The zero of l' next to x, at the working precision."""
+    nu, lam = mpmath.mpf(nu), mpmath.mpf(lam)
+
+    def slope(y):
+        t = mpmath.sqrt(lam * y)
+        ratio = mpmath.besseli(nu / 2, t) / mpmath.besseli(nu / 2 - 1, t)
+        return -0.5 + (nu - 2) / (2 * y) + mpmath.sqrt(lam / y) / 2 * ratio
+
+    return mpmath.findroot(slope, mpmath.mpf(x))
+
+
+def _cold_ratio_calls(monkeypatch, p):
+    """One mode_report from cold caches, and its Bessel ratio call count."""
+    calls = []
+    ncx2shape.density._bessel_memo.cache_clear()
+    for module in (ncx2shape.density, shape_module):
+        original = module.bessel_ratio
+
+        def counted(mu, x, original=original):
+            calls.append(x)
+            return original(mu, x)
+
+        monkeypatch.setattr(module, "bessel_ratio", counted)
+    shape_module._critical_lambda_cached.cache_clear()
+    rep = mode_report(p)
+    return rep, len(calls)

@@ -367,12 +367,15 @@ class TestRootFinder:
         root, evals = _bisect(recorded, lo, hi, xtol, rtol, start)
         assert evals == len(seen)
         # The final bracket: the highest point with a positive value and the
-        # lowest with a non-positive one; the answer is its midpoint.
+        # lowest with a non-positive one; the answer lies inside it, within
+        # half the stop width of either end.
         final_lo = max([lo] + [x for x, v in seen if v > 0.0])
         final_hi = min([hi] + [x for x, v in seen if not v > 0.0])
         assert final_lo < final_hi
-        assert root == 0.5 * (final_lo + final_hi)
-        assert final_hi - final_lo <= max(xtol, rtol * final_hi)
+        assert final_lo <= root <= final_hi
+        width = max(xtol, rtol * final_hi)
+        assert final_hi - final_lo <= width
+        assert max(root - final_lo, final_hi - root) <= 0.5 * width
         halvings = _plain_bisection(f, lo, hi, xtol, rtol)[1]
         assert evals <= 2 * halvings + 3
 
