@@ -1,12 +1,16 @@
 """Modified Bessel functions of the first kind, I_mu, for real order mu > -1.
 
-Three building blocks cover the whole argument range:
+Four building blocks cover the whole argument range:
 
 * the ascending power series, whose terms are all positive (no cancellation);
   the series of I_mu and I_{mu-1} are summed together in one loop where both
   are needed,
-* an exponentially scaled large-argument expansion for e^{-x} I_mu(x),
-  again summed for I_mu and I_{mu-1} in one loop where both are needed,
+* an exponentially scaled large-argument (Hankel) expansion for
+  e^{-x} I_mu(x), again summed for I_mu and I_{mu-1} in one loop where both
+  are needed; it is right only above about x = mu^2 / 2 (DLMF 10.40),
+* the uniform (Debye) expansion of log I_mu(x) in large order (DLMF 10.41,
+  Olver 1954), which covers 30 + 2|mu| <= x < mu^2 / 2, a band that exists
+  only for mu > 10,
 * a continued fraction for the ratio r_mu(x) = I_mu(x) / I_{mu-1}(x).
 
 The ratio is the workhorse for the log-density derivatives of the noncentral
@@ -176,6 +180,60 @@ def _asymptotic_pair(mu: float, x: float) -> tuple[float, float]:
     return total / root, total_lower / root
 
 
+# U_1 .. U_9 of the uniform expansion, from the recurrence DLMF 10.41.10.
+# U_k(p) is p^k times a polynomial of degree k in p^2; row k - 1 holds that
+# polynomial's coefficients, highest power first, i.e. the coefficients of
+# p^(3k), p^(3k-2), ..., p^k in U_k(p).  U_0 = 1.
+_DEBYE_U = (
+    (-0.20833333333333334, 0.125),
+    (0.3342013888888889, -0.4010416666666667, 0.0703125),
+    (-1.0258125964506173, 1.8464626736111112, -0.8912109375, 0.0732421875),
+    (4.669584423426247, -11.207002616222994, 8.78912353515625, -2.3640869140625, 0.112152099609375),
+    (-28.212072558200244, 84.63621767460073, -91.81824154324002, 42.53499874538846,
+     -7.368794359479632, 0.22710800170898438),
+    (212.57013003921713, -765.2524681411817, 1059.9904525279999, -699.5796273761325,
+     218.1905117442116, -26.491430486951554, 0.5725014209747314),
+    (-1919.457662318407, 8061.722181737309, -13586.550006434138, 11655.393336864534,
+     -5305.646978613403, 1200.9029132163525, -108.09091978839466, 1.7277275025844574),
+    (20204.29133096615, -96980.59838863752, 192547.00123253153, -203400.17728041555,
+     122200.46498301746, -41192.65496889755, 7109.514302489364, -493.915304773088,
+     6.074042001273483),
+    (-242919.18790055133, 1311763.6146629772, -2998015.9185381066, 3763271.297656404,
+     -2813563.226586534, 1268365.2733216248, -331645.1724845636, 45218.76898136273,
+     -2499.8304818112097, 24.380529699556064),
+)
+_HALF_ULP_OF_ONE = 2.0 ** -53
+_LOG_2PI = math.log(2.0 * math.pi)
+
+
+def _log_i_debye(mu: float, x: float) -> float:
+    """log I_mu(x) by the uniform expansion in large order, for mu > 10 and x >= 30 + 2 mu.
+
+    With s = hypot(mu, x) and p = mu / s (DLMF 10.41.3 at z = x / mu),
+
+        log I_mu(x) = s + mu log(x / (mu + s)) - log(2 pi s) / 2
+                      + log sum_k U_k(p) / mu^k.
+
+    As p / mu = 1 / s, the k-th term is the polynomial of row k - 1 of
+    _DEBYE_U at p^2, by Horner, divided by s^k.  There x / mu > 2, so
+    p^2 < 1/5 and the sum lies just above 1; it stops at the first term
+    below half an ulp of 1, or after U_9.
+    """
+    s = math.hypot(mu, x)
+    q = (mu / s) ** 2
+    total = scale = 1.0
+    for row in _DEBYE_U:
+        scale /= s
+        poly = 0.0
+        for c in row:
+            poly = poly * q + c
+        term = poly * scale
+        total += term
+        if abs(term) < _HALF_ULP_OF_ONE:
+            break
+    return s + mu * math.log(x / (mu + s)) - 0.5 * (_LOG_2PI + math.log(s)) + math.log(total)
+
+
 def bessel_i(mu: float, x: float) -> float:
     """Modified Bessel function of the first kind, I_mu(x).
 
@@ -208,7 +266,7 @@ def bessel_i(mu: float, x: float) -> float:
         return 0.0 if mu > 0.0 else math.inf
     if x < _series_crossover(mu):
         return _i_series(mu, x)
-    log_i = x + math.log(_i_scaled_asymptotic(mu, x))
+    log_i = log_bessel_i(mu, x)
     if log_i > _LOG_DBL_MAX:
         raise OverflowError(
             f"I_mu(x) overflows double precision at mu={mu}, x={x}; use log_bessel_i"
@@ -219,16 +277,20 @@ def bessel_i(mu: float, x: float) -> float:
 def log_bessel_i(mu: float, x: float) -> float:
     """log I_mu(x) for x > 0, stable up to at least x = 1e8.
 
-    Below the series/asymptotic crossover this is the log of the series'
+    Below the series crossover 30 + 2|mu| this is the log of the series'
     first term, mu log(x/2) - lgamma(mu + 1), plus the log of the series
-    summed relative to that term, so no tiny x underflows; above it the
-    exponentially scaled value is computed first and x is added back, so the
+    summed relative to that term, so no tiny x underflows.  From there up to
+    mu^2 / 2, a band that exists only for mu > 10, it is the uniform (Debye)
+    expansion of :func:`_log_i_debye`.  Above both, the exponentially scaled
+    large-argument value is computed first and x is added back, so the
     composition is exact in log space.
     """
     _check_order(mu)
     _check_positive(x)
     if x < _series_crossover(mu):
         return _log_series_lead(mu, x) + math.log(_series_sum(mu, x))
+    if x < 0.5 * mu * mu:
+        return _log_i_debye(mu, x)
     return x + math.log(_i_scaled_asymptotic(mu, x))
 
 
@@ -287,8 +349,7 @@ def bessel_ratio(mu: float, x: float) -> float:
     * larger x: quotient of the two exponentially scaled asymptotic sums,
       summed in one loop by :func:`_asymptotic_pair` (the e^x /
       sqrt(2 pi x) prefactors cancel), right only above about
-      mu^2 / 2 (DLMF 10.40); :func:`log_bessel_i` still uses it from
-      30 + 2|mu| on, so its values in between are wrong.
+      mu^2 / 2 (DLMF 10.40), which is why the fraction runs up to there.
 
     Relative error is below 1e-12 everywhere; the branches agree to ~1e-14
     in their overlap bands.

@@ -127,9 +127,9 @@ class LogDensityDerivatives:
     d3: float
 
 
-def _check_x(x: float) -> None:
-    if math.isnan(x) or x <= 0.0:
-        raise DomainError(f"evaluation point must be > 0, got {x}")
+def _bad_x(x: float) -> DomainError:
+    """The error for an evaluation point that fails ``x > 0`` (NaN included)."""
+    return DomainError(f"evaluation point must be > 0, got {x}")
 
 
 def _log_central(nu: float, x: float) -> float:
@@ -144,7 +144,8 @@ def central_density(nu: float, x: float) -> float:
     """
     if math.isnan(nu) or nu <= 0.0:
         raise DomainError(f"degrees of freedom must be > 0, got {nu}")
-    _check_x(x)
+    if not x > 0.0:
+        raise _bad_x(x)
     return math.exp(_log_central(nu, x))
 
 
@@ -166,7 +167,8 @@ def density_series_info(p: Params, x: float, tol: float = 1e-12) -> tuple[float,
     (absolute error guarantee) and the current term is below machine noise
     relative to the running sum (relative accuracy near the far tail).
     """
-    _check_x(x)
+    if not x > 0.0:
+        raise _bad_x(x)
     if not tol > 0.0:
         raise DomainError(f"tolerance must be > 0, got {tol}")
     nu, lam = p.nu, p.lam
@@ -248,7 +250,8 @@ def density_series_grid(p: Params, xs, tol: float = 1e-12) -> np.ndarray:
 
 def log_density(p: Params, x: float) -> float:
     """log of the noncentral chi-squared density, composed in log space."""
-    _check_x(x)
+    if not x > 0.0:
+        raise _bad_x(x)
     nu, lam = p.nu, p.lam
     if lam < LAMBDA_ZERO:
         return _log_central(nu, x)
@@ -276,7 +279,8 @@ def log_density_d1(p: Params, x: float) -> float:
     l'(x) = -1/2 + (nu - 2)/(2x) + sqrt(lam)/(2 sqrt(x)) r_{nu/2}(sqrt(lam x)),
     reducing to the central expression when lambda is zero.
     """
-    _check_x(x)
+    if not x > 0.0:
+        raise _bad_x(x)
     nu, lam = p.nu, p.lam
     if lam < LAMBDA_ZERO:
         return -0.5 + (nu - 2.0) / (2.0 * x)
@@ -294,18 +298,23 @@ def log_density_d2(p: Params, x: float) -> float:
         (lam+nu-4)/(4x) - 1/4 - l'(x) (l'(x) + 1 - (nu-4)/(2x))
 
     where l' is assembled from r rebuilt as exp(log I_{nu/2} - log I_{nu/2-1}).
-    Wherever r is the continued fraction, the logs come from other sums, so
-    the two forms are independent lineages; they coincide algebraically,
-    so any disagreement beyond rounding signals a defect in the Bessel layer
-    and raises :class:`InternalConsistencyError`.
+    The two forms coincide algebraically, so any disagreement beyond
+    rounding signals a defect in the Bessel layer and raises
+    :class:`InternalConsistencyError`.  They are independent lineages only
+    where r is the continued fraction (1 <= t < max(32 + nu, nu^2 / 8)),
+    for the logs come from other sums there.  Below t = 1 and above that
+    band, r and both logs come from the same series or asymptotic sums, and
+    the check sees only the arithmetic that follows them.
 
     In the strongly noncentral regime lam/x >> 1 the slope form cancels its
     leading O(lam/(4x)) terms down to an O(1) result, so the comparison
     carries a conditioning-aware absolute floor on top of the 1e-9 relative
     tolerance; a real ratio defect overshoots that floor by orders of
-    magnitude.
+    magnitude.  The floor is never negative, so a gap within the relative
+    part is accepted before the floor is formed.
     """
-    _check_x(x)
+    if not x > 0.0:
+        raise _bad_x(x)
     nu, lam = p.nu, p.lam
     if lam < LAMBDA_ZERO:
         return _scaled(2.0 - nu, 2.0 * x * x, "l''", x)
@@ -318,13 +327,15 @@ def log_density_d2(p: Params, x: float) -> float:
     d1 = -0.5 + (nu - 2.0) / (2.0 * x) + math.sqrt(lam) / (2.0 * math.sqrt(x)) * r_log
     form_slope = (lam + nu - 4.0) / (4.0 * x) - 0.25 - d1 * (d1 + 1.0 - (nu - 4.0) / (2.0 * x))
     gap = abs(form_ratio - form_slope)
+    tolerance = D2_CONSISTENCY_TOL * max(1.0, abs(form_ratio), abs(form_slope))
+    if gap <= tolerance:
+        return form_ratio
     conditioning = (
         abs(lam + nu - 4.0) / (4.0 * x)
         + 0.25
         + d1 * d1
         + abs(d1) * (1.0 + abs(nu - 4.0) / (2.0 * x))
     )
-    tolerance = D2_CONSISTENCY_TOL * max(1.0, abs(form_ratio), abs(form_slope))
     tolerance += 2.2e-16 * conditioning * (64.0 + 4.0 * t)
     if gap > tolerance:
         raise InternalConsistencyError(

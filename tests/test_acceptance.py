@@ -239,3 +239,28 @@ def test_criterion_11_large_order_modes():
     ok = max(gaps.values()) <= 0.5 * tol
     assert report(11, "interior modes at nu = 20, 50, 100 against mpmath", ok,
                   f"worst relative gap {max(gaps.values()):.2e}")
+
+
+# (nu, lam, x, l, l', l'') with t = sqrt(lam x) in 30 + nu <= t < nu^2 / 8,
+# where log I_{nu/2} comes from the uniform (Debye) expansion (and, at
+# nu = 50 and 100, log I_{nu/2-1} too; at nu = 22 the order 10 has no such
+# band).  l from mpmath.besseli at 60 digits, l' and l'' by mpmath.diff.
+LARGE_ORDER_BAND = (
+    (22.0, 40.0, 80.0, -4.482747853747924, -0.08150647904221342, -0.0030563059758943667),
+    (22.0, 10.0, 330.0, -99.58296008189491, -0.3972387482347001, -0.00018153769501468568),
+    (50.0, 100.0, 150.0, -4.0285164547530234, -0.005594848661377718, -0.0019609971315772525),
+    (50.0, 30.0, 400.0, -80.96192163991691, -0.3304189471264945, -0.00025682295346010815),
+    (100.0, 1000.0, 600.0, -44.4069764513231, 0.18720566344561876, -0.0006085041294168862),
+    (100.0, 200.0, 150.0, -19.9370274311861, 0.2617980788541806, -0.0032275943792492642),
+)
+
+
+def test_criterion_12_large_order_density_band():
+    worst = 0.0
+    for nu, lam, x, l, d1, d2 in LARGE_ORDER_BAND:
+        p = Params(nu, lam)
+        got = (log_density(p, x), log_density_d1(p, x), log_density_d2(p, x))
+        worst = max(worst, *(hybrid_gap(a, b) for a, b in zip(got, (l, d1, d2))))
+    ok = worst <= 1e-12
+    assert report(12, "l, l', l'' at nu = 22, 50, 100 in the Debye band against mpmath", ok,
+                  f"worst hybrid gap {worst:.2e}")

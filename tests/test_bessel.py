@@ -7,11 +7,12 @@ oracles.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ncx2shape.bessel as bessel_module
@@ -31,9 +32,12 @@ from ncx2shape.bessel import (
     _asymptotic_pair,
     _i_scaled_asymptotic,
     _i_series,
+    _log_i_debye,
+    _log_series_lead,
     _ratio_asymptotic_from,
     _ratio_cf,
     _series_crossover,
+    _series_sum,
     ratio_and_log_i,
 )
 
@@ -96,6 +100,16 @@ class TestBesselI:
     def test_overflow(self):
         with pytest.raises(OverflowError):
             bessel_i(0.0, 800.0)
+        with pytest.raises(OverflowError):
+            bessel_i(50.0, 900.0)
+
+    # 30 + 2 mu <= x < mu^2 / 2, where the large-argument expansion is wrong:
+    # it made I_25(100) 21.7x and I_50(300) 63x too large.
+    @pytest.mark.parametrize("mu,x", [(12.0, 60.0), (25.0, 100.0), (50.0, 300.0)])
+    def test_large_order_band_against_mpmath(self, mu, x):
+        with mpmath.workdps(40):
+            ref = float(mpmath.besseli(mu, x))
+        assert hybrid_close(bessel_i(mu, x), ref, 1e-12)
 
 
 class TestLogBesselI:
@@ -124,6 +138,67 @@ class TestLogBesselI:
             log_bessel_i(0.0, 0.0)
         with pytest.raises(DomainError):
             log_bessel_i(0.0, -3.0)
+
+
+def _debye_polynomials(n):
+    """U_0 .. U_n of DLMF 10.41.10 in exact rationals, each as {power of p: coefficient}.
+
+    U_{k+1}(p) = p^2 (1 - p^2) U_k'(p) / 2 + int_0^p (1 - 5 t^2) U_k(t) dt / 8.
+    """
+    polys = [{0: Fraction(1)}]
+    for _ in range(n):
+        nxt = {}
+        for e, c in polys[-1].items():
+            for power, coef in ((e + 1, c * e / 2 + c / (8 * (e + 1))),
+                                (e + 3, -c * e / 2 - 5 * c / (8 * (e + 3)))):
+                nxt[power] = nxt.get(power, 0) + coef
+        polys.append({e: c for e, c in nxt.items() if c})
+    return polys
+
+
+class TestDebyeBand:
+    """log I_mu(x) for 30 + 2 mu <= x < mu^2 / 2, a band that exists for mu > 10."""
+
+    def test_stored_rows_are_the_recurrence(self):
+        polys = _debye_polynomials(9)
+        # DLMF 10.41.10 prints U_1 .. U_3.
+        assert polys[1] == {1: Fraction(3, 24), 3: Fraction(-5, 24)}
+        assert polys[2] == {2: Fraction(81, 1152), 4: Fraction(-462, 1152), 6: Fraction(385, 1152)}
+        assert polys[3] == {3: Fraction(30375, 414720), 5: Fraction(-369603, 414720),
+                            7: Fraction(765765, 414720), 9: Fraction(-425425, 414720)}
+        rows = []
+        for k, poly in enumerate(polys[1:], start=1):
+            assert set(poly) == set(range(k, 3 * k + 1, 2))
+            rows.append(tuple(float(poly[e]) for e in range(3 * k, k - 1, -2)))
+        assert bessel_module._DEBYE_U == tuple(rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(mu=st.floats(min_value=10.0, max_value=50.0, exclude_min=True),
+           u=st.floats(min_value=0.0, max_value=1.0))
+    @example(mu=10.07, u=0.5)
+    @example(mu=25.0, u=0.08)
+    @example(mu=50.0, u=0.999)
+    def test_against_mpmath(self, mu, u):
+        # x log-uniform over the band
+        lo, hi = _series_crossover(mu), 0.5 * mu * mu
+        x = lo * (hi / lo) ** u
+        assume(lo <= x < hi)
+        got = log_bessel_i(mu, x)
+        assert got == _log_i_debye(mu, x)
+        assert abs(got - _mp_log_i(mu, x)) <= 4.0 * math.ulp(x)
+
+    @pytest.mark.parametrize("mu", [10.5, 12.0, 25.0, 50.0])
+    def test_seams(self, mu):
+        # At each end of the band the expansion meets the neighbouring branch.
+        lo, hi = _series_crossover(mu), 0.5 * mu * mu
+        series = _log_series_lead(mu, lo) + math.log(_series_sum(mu, lo))
+        hankel = hi + math.log(_i_scaled_asymptotic(mu, hi))
+        assert abs(_log_i_debye(mu, lo) - series) <= 4.0 * math.ulp(lo)
+        assert abs(_log_i_debye(mu, hi) - hankel) <= 4.0 * math.ulp(hi)
+        below = math.nextafter(lo, 0.0)
+        assert log_bessel_i(mu, below) == _log_series_lead(mu, below) + math.log(_series_sum(mu, below))
+        assert log_bessel_i(mu, lo) == _log_i_debye(mu, lo)
+        assert log_bessel_i(mu, hi) == hankel
 
 
 class TestBesselRatio:

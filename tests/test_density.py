@@ -385,3 +385,83 @@ class TestKernelMemo:
             log_density_d2(p, float(x))
         info = density_module._bessel_memo.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize <= 4
+
+
+class TestLargeOrderBand:
+    def test_band_grid_answers(self):
+        # The density-grid op (68.27, 220) on its mean +- 6 sd grid: every
+        # t = sqrt(lam x) lies in 30 + nu <= t < nu^2 / 8, where log I was
+        # wrong and every l'' raised InternalConsistencyError.
+        p = Params(68.27, 220.0)
+        mean, sd = p.nu + p.lam, math.sqrt(2.0 * (p.nu + 2.0 * p.lam))
+        for i, x in enumerate(np.linspace(mean - 6.0 * sd, mean + 6.0 * sd, 500)):
+            x = float(x)
+            l = log_density(p, x)
+            log_density_d1(p, x)
+            log_density_d2(p, x)
+            if i % 50 == 0:
+                assert hybrid_close(l, math.log(density_series(p, x)), 1e-12)
+
+
+def _full_check_d2(p, x):
+    """l'' with its whole tolerance formed before the one test, floor included.
+
+    A copy of the check as it stood before the early accept on the relative
+    part.  Returns l'' and whether the gap exceeded the relative part (so
+    the floor decided), or raises as that check did.
+    """
+    nu, lam = p.nu, p.lam
+    t = math.sqrt(lam * x)
+    r, log_i_lower, log_i = density_module._bessel_memo(0.5 * nu, t)
+    form_ratio = density_module._scaled(density_module._curvature(nu, t, r), x * x, "l''", x)
+    r_log = math.exp(log_i - log_i_lower)
+    d1 = -0.5 + (nu - 2.0) / (2.0 * x) + math.sqrt(lam) / (2.0 * math.sqrt(x)) * r_log
+    form_slope = (lam + nu - 4.0) / (4.0 * x) - 0.25 - d1 * (d1 + 1.0 - (nu - 4.0) / (2.0 * x))
+    gap = abs(form_ratio - form_slope)
+    conditioning = (
+        abs(lam + nu - 4.0) / (4.0 * x)
+        + 0.25
+        + d1 * d1
+        + abs(d1) * (1.0 + abs(nu - 4.0) / (2.0 * x))
+    )
+    relative = density_module.D2_CONSISTENCY_TOL * max(1.0, abs(form_ratio), abs(form_slope))
+    tolerance = relative + 2.2e-16 * conditioning * (64.0 + 4.0 * t)
+    if gap > tolerance:
+        raise InternalConsistencyError(f"{form_ratio!r} vs {form_slope!r}")
+    return form_ratio, gap > relative
+
+
+def _outcome(fn, p, x):
+    try:
+        return fn(p, x)
+    except (InternalConsistencyError, OverflowError) as exc:
+        return type(exc)
+
+
+class TestD2EarlyAccept:
+    # lam = 5e5 and 1e6 put lam / x >> 1 at x of 10 to 1000, where the
+    # conditioning floor, not the relative part, accepts the gap.
+    SWEEP = [(nu, lam, float(x)) for nu in (1e-6, 0.3, 1.0, 3.0, 22.0, 50.0, 100.0)
+             for lam in (0.5, 50.0, 5e3, 5e5, 1e6) for x in np.geomspace(1e-3, 1e3, 25)]
+
+    @pytest.mark.parametrize("scale", [1.0, 1.2])
+    def test_same_verdicts_as_the_full_check(self, cold_memo, monkeypatch, scale):
+        if scale != 1.0:
+            memo = density_module._bessel_memo
+            monkeypatch.setattr(density_module, "_bessel_memo",
+                                lambda mu, t: (memo(mu, t)[0] * scale,) + memo(mu, t)[1:])
+        floor_decided = raised = 0
+        for nu, lam, x in self.SWEEP:
+            p = Params(nu, lam)
+            full = _outcome(_full_check_d2, p, x)
+            got = _outcome(log_density_d2, p, x)
+            if isinstance(full, tuple):
+                assert got == full[0]
+                floor_decided += full[1]
+            else:
+                assert got is full
+                raised += 1
+        if scale == 1.0:
+            assert raised == 0 and floor_decided >= 20
+        else:
+            assert raised == len(self.SWEEP)
