@@ -39,9 +39,12 @@ For nu < 2 the brackets in t are theorems, and no end is evaluated:
   I_{mu-1} - I_{mu+1} = (2 mu / t) I_mu, so s < t^2 / nu and h < 0
   wherever t^2 <= nu (2 - nu).
 
-For nu >= 2 the proven bounds, padded (at nu = 5, lam = 5.96e-8 the mode
-is 6e-16 above its lower bound, where h rounds to 0), are checked on h
-once each; a wrong sign raises :class:`InternalConsistencyError`.
+For nu >= 2 the bracket is the proven bounds, padded (at nu = 5,
+lam = 5.96e-8 the mode is 6e-16 above its lower bound, where h rounds to
+0), and no end is evaluated either.  Only where the padded lower bound is
+not above 1e-12 (nu within ~1e-6 of 2) is the lower end clamped to 1e-12
+and checked on h; below the mode it moves to half a positive lower bound,
+and a wrong sign there raises :class:`InternalConsistencyError`.
 """
 
 from __future__ import annotations
@@ -193,21 +196,22 @@ def mode_report(p: Params, tol: float = DEFAULT_TOL) -> ModeReport:
         anti = t * (t / lam)
     else:
         concave = (nu - 2.0) * (1.0 + lam / nu)
-        lo = max(concave - _BRACKET_PAD * max(1.0, concave), 1e-12)
-        hi = upper + _BRACKET_PAD * max(1.0, upper)
-        t_lo, t_hi = math.sqrt(lam * lo), math.sqrt(lam * hi)
-        h_lo, h_hi = slope(t_lo)[0], slope(t_hi)[0]
-        if lo == 1e-12 and not h_lo > 0.0:
-            # The clamp can lie above the mode, half a positive lower bound cannot
-            # (lam + nu - 4 rounds to 0 at nu = 2, lam = 2 + 4e-16).
-            lo = 0.5 * max(concave, (lam - 2.0) + (nu - 2.0))
-            t_lo = math.sqrt(lam * lo)
-            h_lo = slope(t_lo)[0]
-        if not (h_lo > 0.0 and h_hi <= 0.0):
-            raise InternalConsistencyError(
-                f"interior mode outside its bounds [{lower!r}, {upper!r}] at nu={nu}, lam={lam}: "
-                f"2x l'(x) is {h_lo!r} at x={lo!r} and {h_hi!r} at x={hi!r}"
-            )
+        lo = concave - _BRACKET_PAD * max(1.0, concave)
+        if not lo > 1e-12:
+            # nu within ~1e-6 of 2.  The clamp can lie above the mode, half a
+            # positive lower bound cannot (lam + nu - 4 rounds to 0 at nu = 2,
+            # lam = 2 + 4e-16); the lower end is checked here only.
+            lo = 1e-12
+            if not slope(math.sqrt(lam * lo))[0] > 0.0:
+                lo = 0.5 * max(concave, (lam - 2.0) + (nu - 2.0))
+                h_lo = slope(math.sqrt(lam * lo))[0]
+                if not h_lo > 0.0:
+                    raise InternalConsistencyError(
+                        f"interior mode outside its bounds [{lower!r}, {upper!r}] at nu={nu}, "
+                        f"lam={lam}: 2x l'(x) is {h_lo!r} at x={lo!r}"
+                    )
+        t_lo = math.sqrt(lam * lo)
+        t_hi = math.sqrt(lam * (upper + _BRACKET_PAD * max(1.0, upper)))
         t = _bisect(slope, t_lo, t_hi, 0.0, rtol, math.sqrt(lam * 0.5 * (lower + upper)))[0]
         mode = t * (t / lam)
     width = tol * max(1.0, upper)

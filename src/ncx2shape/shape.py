@@ -13,13 +13,14 @@ F(t) = t^2 / (t r(t) + nu - 2).  The paper's indicator is a cross-check.
 Every root of the shape problem is a root in t of a function of
 s(t) = t r_{nu/2}(t): g_nu for tau, and 2x l'(x) = s + nu - 2 - t^2 / lam
 for the interior mode and the antimode (see :mod:`ncx2shape.modes`).
-Each hands the solver its value and slope for one Bessel ratio, through
-the kernels in :mod:`ncx2shape.density`.  Every solver finds a
-single sign change the same way: :func:`_bisect` narrows a bracket by
-Newton steps kept inside it, falling back to halving, until
-``hi - lo <= max(xtol, rtol * hi)``.  No solver searches for a bracket:
-each end is a theorem, or is evaluated once and a wrong sign raises
-:class:`InternalConsistencyError`.
+Each hands the solver its value and a slope f' - f f'' / (2 f') from one
+Bessel ratio, through the kernels in :mod:`ncx2shape.density`.  Every
+solver finds a single sign change the same way: :func:`_bisect` narrows a
+bracket by Newton steps on that slope (Halley steps on f) kept inside it,
+falling back to halving, until ``hi - lo <= max(xtol, rtol * hi)``.  No
+solver searches for a bracket, and no end is evaluated: each end is a
+theorem.  Only the nu >= 2 mode, for nu within ~1e-6 of 2, checks its
+clamped lower end (see :mod:`ncx2shape.modes`).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from functools import lru_cache
 
 from .bessel import bessel_ratio
 from .density import LAMBDA_ZERO, Params, _curvature, _curvature_slope, _ratio_terms, log_density_d2
-from .errors import ConvergenceError, DomainError, InternalConsistencyError
+from .errors import ConvergenceError, DomainError
 
 DEFAULT_TOL = 1e-8
 
@@ -48,8 +49,10 @@ class CriticalLambda:
     """Critical noncentrality for 0 < nu < 2, with solver metadata.
 
     ``tau`` is the zero of g_nu (the inflection point is ``tau**2 / lam``);
-    ``iterations`` counts the evaluations of g_nu that solved tau to
-    relative width ``tol`` (Newton steps, halvings and the closing pair).
+    ``iterations`` counts the evaluations of g_nu, one Bessel ratio each,
+    that solved tau to relative width ``tol`` (Halley steps, halvings and
+    the closing pair).  ``lambda_nu`` reuses the ratio of the evaluated
+    point nearest ``tau`` and costs no further evaluation.
     """
 
     nu: float
@@ -109,7 +112,7 @@ def _bisect(f, lo: float, hi: float, xtol: float, rtol: float,
     from the last one when it stays in the bracket and is at most half the
     previous step (rtsafe, *Numerical Recipes* 9.4), and the midpoint
     otherwise; a slope that is not the derivative changes only the step
-    (the mode solves pass one that makes it Halley's).  A Newton step
+    (every solve here passes one that makes it Halley's).  A Newton step
     shorter than half the stop width ``w = max(xtol, rtol * x)`` closes the
     bracket instead: ``f`` is evaluated ``w/4`` beyond the Newton point,
     then ``w/4`` short of it, and when the first of these lands on the side
@@ -131,6 +134,7 @@ def _bisect(f, lo: float, hi: float, xtol: float, rtol: float,
         x = 0.5 * (lo + hi)
     else:
         spare -= 1
+    closing = math.nan
     while hi - lo > max(xtol, rtol * hi):
         closing = math.nan
         if not lo < x < hi:
@@ -171,29 +175,53 @@ def _bisect(f, lo: float, hi: float, xtol: float, rtol: float,
 
 @lru_cache(maxsize=1024)
 def _critical_lambda_cached(nu: float, tol: float) -> CriticalLambda:
+    seen = []
+
     def g(t: float) -> tuple[float, float]:
         r = _ratio_terms(nu, t)[0]
-        return _curvature(nu, t, r), _curvature_slope(nu, t, r)
+        seen.append((t, r))
+        value, slope = _curvature(nu, t, r), _curvature_slope(nu, t, r)
+        if slope:
+            # g'' from the same r, with r'' = -(nu - 1) (r'/t - r/t^2) - 2 r r':
+            # the Newton step on this slope is Halley's step on g.
+            dr = 1.0 - (nu - 1.0) * r / t - r * r
+            d2r = -(nu - 1.0) * (dr - r / t) / t - 2.0 * r * dr
+            curve = (0.5 * (1.0 - r * r) - 2.0 * t * r * dr - 0.5 * t * t * (dr * dr + r * d2r)
+                     - 0.25 * nu * (2.0 * dr + t * d2r))
+            slope -= value * curve / (2.0 * slope)
+        return value, slope
 
     # tau ~ 2 (12 nu)^(1/6) as nu -> 0 and ~ 2 (2 - nu)^(1/4) as nu -> 2; the
     # smaller of the two is within 15% of tau on all of (0, 2).
     start = 2.0 * min((12.0 * nu) ** (1.0 / 6.0), (2.0 - nu) ** 0.25)
-    # g_nu(0+) = (2 - nu)/2 > 0.  tau_nu peaks at 2.339 near nu = 0.635, and
-    # g_nu(2 sqrt 3) = 4 - nu/2 - 3 r^2 - (sqrt 3 / 2) nu r < 0 on all of
-    # (0, 2) (tested); it is checked here, once per solve.
-    if not g(_TAU_MAX)[0] < 0.0:
-        raise InternalConsistencyError(f"g_nu is not negative at t = 2 sqrt 3, nu={nu}")
+    # Neither end is evaluated.  g_nu(0+) = (2 - nu)/2 > 0.  At t = 2 sqrt 3,
+    # g_nu = 4 - nu/2 - 3 r^2 - (sqrt 3 / 2) nu r, which falls as r > 0 grows.
+    # With mu = nu/2, I_{mu-1} - I_{mu+1} = (2 mu / t) I_mu (DLMF 10.29.1)
+    # taken twice gives 1/r = 2 mu / t + 1 / (2 (mu + 1) / t + I_{mu+2}/I_{mu+1}),
+    # and Amos (Math. Comp. 28, 1974) bounds I_{v+1}/I_v(t) below by
+    # t / (v + 1/2 + sqrt(t^2 + (v + 3/2)^2)) for v = mu + 1 >= 0.  So r is at
+    # least the r_low(nu) these give, and g_nu(2 sqrt 3) is at most
+    # 4 - nu/2 - 3 r_low^2 - (sqrt 3 / 2) nu r_low, which decreases on
+    # [0, 2] from -0.1596 at nu = 0 (tested).  tau_nu peaks at 2.339 near
+    # nu = 0.635.
     tau, iterations = _bisect(g, 0.0, _TAU_MAX, 0.0, tol, start)
-    # nu - 2.0 is exact; adding tau r to nu first would cancel near nu = 2.
-    lambda_nu = tau * tau / (_ratio_terms(nu, tau)[1] + (nu - 2.0))
+    if not seen:  # tol >= 1: the bracket needs no evaluation
+        g(tau)
+    # lambda_nu = F(t) = t^2 / (t r + nu - 2) at the evaluated point nearest
+    # tau: F is stationary at tau, so a distance d costs only O(d^2), and d is
+    # at most the stop width.  nu - 2.0 is exact; adding t r to nu first
+    # would cancel near nu = 2.
+    t, r = min(seen, key=lambda point: abs(point[0] - tau))
+    lambda_nu = t * t / (t * r + (nu - 2.0))
     return CriticalLambda(nu=nu, lambda_nu=lambda_nu, tau=tau, tol=tol, iterations=iterations)
 
 
 def critical_lambda(nu: float, tol: float = DEFAULT_TOL) -> CriticalLambda:
     """Critical noncentrality for 0 < nu < 2, from the zero tau of g_nu.
 
-    tau is solved to relative ``tol``; F is stationary there, so lambda_nu
-    = F(tau) carries only the square of that error.  Results are kept per
+    tau is solved to relative ``tol``, and lambda_nu is F at the evaluated
+    point nearest tau; F is stationary at tau, so lambda_nu carries only
+    the square of that distance.  Results are kept per
     (nu, tol) in a bounded, thread-safe, semantically invisible cache.
 
     Values near the endpoints converge slowly in nu (the critical value

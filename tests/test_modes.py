@@ -376,10 +376,52 @@ class TestRootsAgainstMpmath:
         assert calls <= 15
 
     def test_cold_log_concave_report_ratio_calls(self, monkeypatch):
-        # Both bracket ends and the mode of (4, 5).
+        # The mode of (4, 5); its padded bracket ends are not evaluated.
         rep, calls = _cold_ratio_calls(monkeypatch, Params(nu=4, lam=5))
         assert rep.interior_mode is not None
-        assert calls <= 6
+        assert calls <= 4
+
+    def test_classify_and_report_ratio_call_count(self, monkeypatch):
+        # Pinned Bessel ratio count of classify + mode_report over a fixed
+        # list, from cold caches: one tau solve per distinct nu < 2 (the
+        # second (1, 5) reuses it), the mode and antimode solves, and one
+        # lower-end check at nu = 2 and 2 + 1e-7.
+        calls = _count_ratio_calls(monkeypatch)
+        for nu, lam in CALL_COUNT_CASES:
+            p = Params(nu, lam)
+            classify(p)
+            mode_report(p)
+        assert len(calls) == 70
+
+    @pytest.mark.parametrize("nu, lam", [(4, 5), (2.5, 0.1), (3, 1e-3), (10, 100), (60, 500),
+                                         (100, 1000), (2.001, 7)])
+    def test_log_concave_solve_evaluates_no_padded_end(self, monkeypatch, nu, lam):
+        # The padded bounds are theorems: h is never evaluated at either end.
+        seen = []
+        terms = ncx2shape.modes._ratio_terms
+
+        def recorded(nu, t):
+            seen.append(t)
+            return terms(nu, t)
+
+        monkeypatch.setattr(ncx2shape.modes, "_ratio_terms", recorded)
+        rep = mode_report(Params(nu, lam))
+        concave = (nu - 2.0) * (1.0 + lam / nu)
+        upper = rep.bounds_upper
+        ends = (math.sqrt(lam * (concave - 1e-6 * max(1.0, concave))),
+                math.sqrt(lam * (upper + 1e-6 * max(1.0, upper))))
+        assert seen
+        assert all(ends[0] < t < ends[1] for t in seen)
+
+    def test_corner_just_above_two_still_raises(self):
+        # At (2, 2 + 4.4e-16) the mode, 8.9e-16, is the size of the rounding
+        # of h; the lower-end check raises rather than return a wrong root.
+        with pytest.raises(InternalConsistencyError, match="outside its bounds"):
+            mode_report(Params(2.0, 2.0000000000000004))
+
+
+CALL_COUNT_CASES = [(1, 5), (4, 5), (0.5, 30), (1.5, 2), (2, 2), (2, 5), (2.0000001, 5), (3, 0),
+                    (10, 100), (50, 200), (1, 5), (0.3, 7)]
 
 
 def _mp_root(nu, lam, x):
@@ -394,8 +436,8 @@ def _mp_root(nu, lam, x):
     return mpmath.findroot(slope, mpmath.mpf(x))
 
 
-def _cold_ratio_calls(monkeypatch, p):
-    """One mode_report from cold caches, and its Bessel ratio call count."""
+def _count_ratio_calls(monkeypatch):
+    """Clear the caches and record every Bessel ratio argument in the returned list."""
     calls = []
     ncx2shape.density._bessel_memo.cache_clear()
     for module in (ncx2shape.density, shape_module):
@@ -407,5 +449,11 @@ def _cold_ratio_calls(monkeypatch, p):
 
         monkeypatch.setattr(module, "bessel_ratio", counted)
     shape_module._critical_lambda_cached.cache_clear()
+    return calls
+
+
+def _cold_ratio_calls(monkeypatch, p):
+    """One mode_report from cold caches, and its Bessel ratio call count."""
+    calls = _count_ratio_calls(monkeypatch)
     rep = mode_report(p)
     return rep, len(calls)

@@ -6,16 +6,17 @@ scipy.special.ive ratios) and are frozen below, together with twenty-digit
 mpmath roots taken at 50 digits at the double nu.
 """
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath
 import numpy as np
 import pytest
 
 import ncx2shape.shape as shape_module
 from ncx2shape import (
     DomainError,
-    InternalConsistencyError,
     Params,
     antimode,
     bessel_ratio,
@@ -66,6 +67,23 @@ def g_nu(nu, t):
     """x^2 l''(x) as a function of t = sqrt(lam x)."""
     r = bessel_ratio(0.5 * nu, t)
     return (2.0 - nu) / 2.0 + t * t * (1.0 - r * r) / 4.0 - nu * t * r / 4.0
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_lambda_nu(nu):
+    """F at the 50-digit zero of g_nu, at the double nu."""
+    with mpmath.workdps(50):
+        nu_mp = mpmath.mpf(nu)
+
+        def ratio(t):
+            return mpmath.besseli(nu_mp / 2, t) / mpmath.besseli(nu_mp / 2 - 1, t)
+
+        def g(t):
+            r = ratio(t)
+            return (2 - nu_mp) / 2 + t * t * (1 - r * r) / 4 - nu_mp * t * r / 4
+
+        tau = mpmath.findroot(g, mpmath.mpf(critical_lambda(nu).tau))
+        return float(tau * tau / (tau * ratio(tau) + nu_mp - 2))
 
 
 def big_f(nu, t):
@@ -145,19 +163,56 @@ class TestCriticalLambda:
         taus = [critical_lambda(float(nu)).tau for nu in np.linspace(0.6, 0.67, 15)]
         assert 2.33 < max(taus) < 2.34
 
-    def test_tau_bracket_end_of_wrong_sign_raises(self, monkeypatch):
-        def halved(nu, t):
-            r, s, ds = terms(nu, t)
-            return 0.5 * r, 0.5 * s, 0.5 * ds
+    def test_tau_bracket_upper_end_bound(self):
+        # The proof in _critical_lambda_cached that g_nu(2 sqrt 3) < 0: Amos'
+        # lower bound on I_{v+1}/I_v for v = mu + 1 holds, and the bound on
+        # g_nu it gives stays below -0.159 on [0, 2].
+        t = shape_module._TAU_MAX
+        with mpmath.workdps(30):
+            for v in np.linspace(1.0, 2.0, 21):
+                v = mpmath.mpf(float(v))
+                assert t / (v + 0.5 + mpmath.sqrt(t * t + (v + 1.5) ** 2)) < \
+                    mpmath.besseli(v + 1, t) / mpmath.besseli(v, t)
 
+        def bound(nu):
+            mu = 0.5 * nu
+            low = t / (mu + 1.5 + np.sqrt(t * t + (mu + 2.5) ** 2))
+            r_low = 1.0 / (2.0 * mu / t + 1.0 / (2.0 * (mu + 1.0) / t + low))
+            return 4.0 - 0.5 * nu - 3.0 * r_low**2 - 0.5 * math.sqrt(3.0) * nu * r_low
+
+        values = bound(np.linspace(0.0, 2.0, 200001))
+        assert values.max() < -0.159
+        assert np.all(np.diff(values) < 0.0)
+
+    def test_tau_solve_evaluates_no_bracket_end(self, monkeypatch):
+        # Both ends of [0, 2 sqrt 3] are theorems; the solve never evaluates g_nu there.
+        seen = []
         terms = shape_module._ratio_terms
-        monkeypatch.setattr(shape_module, "_ratio_terms", halved)
+
+        def recorded(nu, t):
+            seen.append(t)
+            return terms(nu, t)
+
+        monkeypatch.setattr(shape_module, "_ratio_terms", recorded)
         _critical_lambda_cached.cache_clear()
         try:
-            with pytest.raises(InternalConsistencyError, match="not negative"):
-                critical_lambda(1.0)
+            for nu in (1e-12, 1e-4, 0.25, 0.635, 1.0, 1.75, 2.0 - 1e-9):
+                for tol in (1e-8, 1e-12):
+                    critical_lambda(nu, tol)
         finally:
             _critical_lambda_cached.cache_clear()
+        assert seen
+        assert all(0.0 < t < shape_module._TAU_MAX for t in seen)
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12, 1e-14])
+    def test_lambda_nu_matches_mpmath_at_every_tolerance(self, tol):
+        # lambda_nu is F at the evaluated point nearest tau, within the stop
+        # width of it; F is stationary there, so the README's 1e-12 holds
+        # at every tol.  The reference is F at the 50-digit zero of g_nu.
+        nus = np.concatenate([np.geomspace(1e-8, 0.1, 14), np.linspace(0.1, 1.9, 12)[1:-1],
+                              2.0 - np.geomspace(0.1, 1e-8, 14)])
+        for nu in map(float, nus):
+            assert abs(critical_lambda(nu, tol).lambda_nu - _mp_lambda_nu(nu)) <= 1e-12, nu
 
     def test_metadata(self):
         res = critical_lambda(1.0, tol=1e-8)
@@ -390,8 +445,17 @@ class TestRootFinder:
         f, lo, hi, xtol, rtol, start = ROOT_PROBLEMS[problem]
         assert _bisect(f, lo, hi, xtol, rtol, start)[1] <= 8
 
+    def test_bracket_already_within_tolerance(self):
+        # No evaluation, and the midpoint is the answer; a tol of 1 or more
+        # used to raise UnboundLocalError here.
+        assert _bisect(lambda x: 1 / 0, 1.0, 2.0, 0.0, 1.0) == (1.5, 0)
+        res = critical_lambda(1.0, 1.0)
+        assert res.iterations == 0 and res.tau == 0.5 * shape_module._TAU_MAX
+        assert res.lambda_nu > critical_lambda(1.0).lambda_nu
+
     @pytest.mark.parametrize("nu", [1e-4, 0.01, 0.25, 0.5, 1.0, 1.5, 1.9, 1.99, 2.0 - 1e-4])
     def test_tau_solve_step_counts(self, nu):
         # Plain bisection takes 27-29 halvings at 1e-8 and 34-36 at 1e-10.
-        assert critical_lambda(nu, 1e-8).iterations <= 6
-        assert critical_lambda(nu, 1e-10).iterations <= 7
+        # Halley steps take at most 4 and 5 over 2000 nu in (0.001, 1.999).
+        assert critical_lambda(nu, 1e-8).iterations <= 4
+        assert critical_lambda(nu, 1e-10).iterations <= 5
