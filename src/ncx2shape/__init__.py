@@ -40,9 +40,7 @@ from .errors import (
 from .modes import (
     ModeReport,
     antimode,
-    has_interior_mode,
     interior_mode,
-    mode_bounds,
     mode_report,
 )
 from .oracle import (
@@ -90,7 +88,6 @@ __all__ = [
     "density_series_info",
     "finite_difference",
     "grid_local_maxima",
-    "has_interior_mode",
     "inflection_point",
     "interior_mode",
     "log_bessel_i",
@@ -99,7 +96,6 @@ __all__ = [
     "log_density_d2",
     "log_density_d3",
     "log_density_derivatives",
-    "mode_bounds",
     "mode_report",
     "ratio_asymptotic",
     "ratio_eval",

@@ -11,7 +11,8 @@ JSON output (the default) is a single envelope object per invocation; CSV
 output is a header row plus data rows.  Numbers carry 12 significant
 digits.  Identical invocations produce byte-identical output.
 
-Exit codes: 0 success, 2 usage error, 3 numerical failure.
+Exit codes: 0 success, 2 usage error, 3 numerical failure.  ``--points``
+and ``--steps`` above ``MAX_ROWS`` are usage errors.
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ from .oracle import GridSpec
 from .shape import DEFAULT_TOL, classify, critical_lambda
 
 TABLE_DEFAULT_NUS = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75)
+
+# Most rows one invocation computes (--points, --steps): the output is held
+# in memory until it is written.
+MAX_ROWS = 100_000
 
 
 class UsageError(Exception):
@@ -131,6 +136,8 @@ def _cmd_eval(args) -> None:
     else:
         if any(v is None for v in grid_flags):
             raise UsageError("provide --x, or all of --x-min --x-max --points")
+        if args.points > MAX_ROWS:
+            raise UsageError(f"--points must be at most {MAX_ROWS}, got {args.points}")
         xs = GridSpec(args.x_min, args.x_max, args.points, args.spacing).points_array().tolist()
     rows = []
     for x in xs:
@@ -170,8 +177,8 @@ def _cmd_critical_table(args) -> None:
     elif any(v is not None for v in range_flags):
         if any(v is None for v in range_flags):
             raise UsageError("provide all of --nu-min --nu-max --steps")
-        if args.steps < 1:
-            raise UsageError("--steps must be >= 1")
+        if not 1 <= args.steps <= MAX_ROWS:
+            raise UsageError(f"--steps must lie in [1, {MAX_ROWS}], got {args.steps}")
         if args.steps == 1:
             nus = [args.nu_min]
         else:

@@ -66,10 +66,15 @@ def _bessel_argument(t: float) -> float:
     return t
 
 
-def _ratio_terms(nu: float, t: float) -> tuple[float, float, float]:
-    """r = r_{nu/2}(t), s = t r and s' = ds/dt = t + (2 - nu) r - t r^2, from one uncached Bessel ratio."""
+def _ratio_slope(nu: float, t: float, r: float) -> float:
+    """r' = dr/dt = 1 - (nu - 1) r / t - r^2, given r = r_{nu/2}(t)."""
+    return 1.0 - (nu - 1.0) * r / t - r * r
+
+
+def _ratio_terms(nu: float, t: float) -> tuple[float, float]:
+    """r = r_{nu/2}(t), from one uncached Bessel ratio, and r'."""
     r = bessel_ratio(0.5 * nu, t)
-    return r, t * r, t + (2.0 - nu) * r - t * r * r
+    return r, _ratio_slope(nu, t, r)
 
 
 def _curvature(nu: float, t: float, r: float) -> float:
@@ -82,9 +87,8 @@ def _curvature(nu: float, t: float, r: float) -> float:
     return 0.5 * (2.0 - nu) + 0.25 * t * t * (1.0 - r * r) - 0.25 * nu * t * r
 
 
-def _curvature_slope(nu: float, t: float, r: float) -> float:
-    """g_nu'(t), given r = r_{nu/2}(t), with r' = 1 - (nu - 1) r / t - r^2."""
-    dr = 1.0 - (nu - 1.0) * r / t - r * r
+def _curvature_slope(nu: float, t: float, r: float, dr: float) -> float:
+    """g_nu'(t), given r = r_{nu/2}(t) and dr = r'(t)."""
     return 0.5 * t * (1.0 - r * r) - 0.5 * t * t * r * dr - 0.25 * nu * (r + t * dr)
 
 
@@ -356,7 +360,8 @@ def log_density_d3(p: Params, x: float) -> float:
         return _scaled(-2.0 * d2, x, "l'''", x)
     t = math.sqrt(p.lam * x)
     r = _bessel_memo(0.5 * p.nu, t)[0]
-    x3_d3 = 0.5 * t * _curvature_slope(p.nu, t, r) - 2.0 * _curvature(p.nu, t, r)
+    dr = _ratio_slope(p.nu, t, r)
+    x3_d3 = 0.5 * t * _curvature_slope(p.nu, t, r, dr) - 2.0 * _curvature(p.nu, t, r)
     return _scaled(x3_d3, x * x * x, "l'''", x)
 
 

@@ -1,8 +1,9 @@
 """Mode and antimode location for the noncentral chi-squared density.
 
-An interior mode exists exactly when nu > 2, or nu = 2 with lam > 2, or
-nu < 2 with lam above the critical noncentrality.  When it exists it is the
-unique zero of the log-density slope inside a provable bracket:
+An interior mode exists exactly when the density is not decreasing
+(:func:`ncx2shape.shape._decreasing`): when nu > 2, or nu = 2 with lam > 2,
+or nu < 2 with lam above the critical noncentrality.  When it exists it is
+the unique zero of the log-density slope inside a provable bracket:
 
 * lower  lam + nu - 4        (always, strict)
 * lower  (nu-2)(1 + lam/nu)  (nu >= 2)
@@ -18,14 +19,13 @@ Both roots are solved in t = sqrt(lam x), the variable of
 
     2x l'(x) = h(t) = s(t) + nu - 2 - t^2 / lam,
 
-so the slope has the sign of h.  The same Bessel ratio gives
-h' = s' - 2t / lam and h'' = s'' - 2 / lam, with
-s'' = 1 + (2 - nu) r' - r^2 - 2 t r r' and r' = 1 - (nu - 1) r / t - r^2,
-and the solver is handed h' - h h'' / (2 h') for the slope, so its Newton
-steps are Halley steps.  The root-finder shared with :mod:`ncx2shape.shape`
-narrows t to relative width ``tol / 2`` and returns x = t^2 / lam, so
+so the slope has the sign of h.  The same Bessel ratio r and its
+derivative r' give h' = s' - 2t / lam and h'' = s'' - 2 / lam, with
+s' = t + (2 - nu) r - t r^2 and s'' = 1 + (2 - nu) r' - r^2 - 2 t r r', and
+the root-finder shared with :mod:`ncx2shape.shape` takes Halley steps on
+them.  It narrows t to relative width ``tol / 2`` and returns x = t^2 / lam, so
 ``tol`` is relative: each root lies within about ``tol * x / 2`` of a sign
-change of the slope.  It returns the closing Newton point, usually far
+change of the slope.  It returns the closing step's point, usually far
 closer than that: at the default ``tol``, on the inputs the test suite
 pins (away from the fold at lam = lambda_nu), the 12 digits the CLI prints
 are those of the rounded root.
@@ -50,11 +50,12 @@ and a wrong sign there raises :class:`InternalConsistencyError`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .density import LAMBDA_ZERO, Params, _ratio_terms
 from .errors import DomainError, InternalConsistencyError
-from .shape import _bisect, _check_tol, critical_lambda
+from .shape import _bisect, _check_tol, _decreasing, critical_lambda
 
 # Position tolerance (relative) for the mode and antimode solvers.
 DEFAULT_TOL = 1e-10
@@ -87,16 +88,6 @@ class ModeReport:
     bound_source: str | None
 
 
-def has_interior_mode(p: Params) -> bool:
-    """Existence of an interior mode."""
-    nu, lam = p.nu, p.lam
-    if nu > 2.0:
-        return True
-    if nu == 2.0:
-        return lam > 2.0
-    return lam > critical_lambda(nu).lambda_nu
-
-
 def _bounds_with_source(nu: float, lam: float) -> tuple[float, float, str]:
     loose = lam + nu - 4.0
     if nu < 2.0:
@@ -110,17 +101,6 @@ def _bounds_with_source(nu: float, lam: float) -> tuple[float, float, str]:
         if shifted >= lower:
             lower, source = shifted, BOUND_NU_GT_3
     return lower, lam + nu - 2.0, source
-
-
-def mode_bounds(p: Params) -> tuple[float, float]:
-    """Location bounds (lower, upper) for the interior mode.
-
-    Raises :class:`DomainError` when no interior mode exists.
-    """
-    if not has_interior_mode(p):
-        raise DomainError(f"no interior mode at nu={p.nu}, lam={p.lam}")
-    lower, upper, _ = _bounds_with_source(p.nu, p.lam)
-    return lower, upper
 
 
 def interior_mode(p: Params, tol: float = DEFAULT_TOL) -> float | None:
@@ -137,21 +117,14 @@ def antimode(p: Params, tol: float = DEFAULT_TOL) -> float | None:
 
 
 def _slope_in_t(nu: float, lam: float, sign: float):
-    """``t -> sign * (h(t), h'(t) - h(t) h''(t) / (2 h'(t)))``, h(t) = 2x l'(x) at x = t (t / lam).
-
-    The second entry is the slope whose Newton step is Halley's step on h;
-    it is h' itself where h' is 0.
-    """
+    """``t -> sign * (h(t), h'(t), h''(t))``, h(t) = 2x l'(x) at x = t (t / lam)."""
     # t (t / lam), not t * t / lam: at lam = 1e-300 the product t * t is subnormal.
-    def h(t: float) -> tuple[float, float]:
-        r, s, ds = _ratio_terms(nu, t)
-        value = s + (nu - 2.0) - t * (t / lam)
-        slope = ds - 2.0 * t / lam
-        if slope:
-            dr = 1.0 - (nu - 1.0) * r / t - r * r
-            curve = 1.0 + (2.0 - nu) * dr - r * r - 2.0 * t * r * dr - 2.0 / lam
-            slope -= value * curve / (2.0 * slope)
-        return sign * value, sign * slope
+    def h(t: float) -> tuple[float, float, float]:
+        r, dr = _ratio_terms(nu, t)
+        value = t * r + (nu - 2.0) - t * (t / lam)
+        slope = t + (2.0 - nu) * r - t * r * r - 2.0 * t / lam
+        curve = 1.0 + (2.0 - nu) * dr - r * r - 2.0 * t * r * dr - 2.0 / lam
+        return sign * value, sign * slope, sign * curve
 
     return h
 
@@ -160,17 +133,19 @@ def mode_report(p: Params, tol: float = DEFAULT_TOL) -> ModeReport:
     """Full mode summary: zero mode flag, interior mode, antimode, bounds.
 
     Both roots are solved in t = sqrt(lam x) to relative ``tol``; see the
-    module notes for the brackets.  An interior mode outside its location
-    bounds, widened by ``tol * max(1, upper)``, raises
-    :class:`InternalConsistencyError`.
+    module notes for the brackets; one :func:`critical_lambda` lookup below
+    nu = 2 gives both the existence test and tau.  An interior mode outside
+    its location bounds, widened by ``tol * max(1, upper)``, raises
+    :class:`InternalConsistencyError`; ``lam * x`` overflowing at the upper
+    end of the bracket (lam above about 1.34e154) raises :class:`DomainError`.
     """
     _check_tol(tol)
     nu, lam = p.nu, p.lam
-    zero_is_mode = nu < 2.0 or (nu == 2.0 and lam <= 2.0)
-    if not has_interior_mode(p):
+    solved = critical_lambda(nu) if nu < 2.0 else None
+    if _decreasing(nu, lam, solved):
         return ModeReport(
             params=p,
-            zero_is_mode=zero_is_mode,
+            zero_is_mode=True,
             interior_mode=None,
             antimode=None,
             bounds_lower=None,
@@ -178,18 +153,26 @@ def mode_report(p: Params, tol: float = DEFAULT_TOL) -> ModeReport:
             bound_source=None,
         )
     lower, upper, source = _bounds_with_source(nu, lam)
+    # The upper end of the bracket in x: the bound itself for nu < 2, padded otherwise.
+    x_hi = upper if nu < 2.0 else upper + _BRACKET_PAD * max(1.0, upper)
     anti = None
     rtol = 0.5 * tol
     slope = _slope_in_t(nu, lam, 1.0)
     if lam < LAMBDA_ZERO:
         # Only nu > 2 has an interior mode here: the central one.
         mode = nu - 2.0
+    elif lam * x_hi == math.inf:
+        raise DomainError(
+            f"lam={lam!r} is too large to locate the mode: t = sqrt(lam x) needs lam * x below "
+            f"{sys.float_info.max:.4g}, and lam * x overflows at the bracket end x={x_hi!r} "
+            f"(for nu small next to lam, lam must stay below about {math.sqrt(sys.float_info.max):.4g})"
+        )
     elif nu < 2.0:
         # Both brackets are theorems (see the module notes): no end is evaluated.
-        tau = critical_lambda(nu).tau
+        tau = solved.tau
         # The mode lies just below lam + nu - 3 (by about (3 - nu) / (2 lam)).
         start = lam + nu - 3.0 + (nu - 3.0) / (2.0 * lam)
-        t = _bisect(slope, tau, math.sqrt(lam * upper), 0.0, rtol,
+        t = _bisect(slope, tau, math.sqrt(lam * x_hi), 0.0, rtol,
                     math.sqrt(lam * start) if lam * start > tau * tau else None)[0]
         mode = t * (t / lam)
         t = _bisect(_slope_in_t(nu, lam, -1.0), math.sqrt(nu * (2.0 - nu)), tau, 0.0, rtol)[0]
@@ -210,9 +193,8 @@ def mode_report(p: Params, tol: float = DEFAULT_TOL) -> ModeReport:
                         f"interior mode outside its bounds [{lower!r}, {upper!r}] at nu={nu}, "
                         f"lam={lam}: 2x l'(x) is {h_lo!r} at x={lo!r}"
                     )
-        t_lo = math.sqrt(lam * lo)
-        t_hi = math.sqrt(lam * (upper + _BRACKET_PAD * max(1.0, upper)))
-        t = _bisect(slope, t_lo, t_hi, 0.0, rtol, math.sqrt(lam * 0.5 * (lower + upper)))[0]
+        t = _bisect(slope, math.sqrt(lam * lo), math.sqrt(lam * x_hi), 0.0, rtol,
+                    math.sqrt(lam * 0.5 * (lower + upper)))[0]
         mode = t * (t / lam)
     width = tol * max(1.0, upper)
     if not lower - width <= mode <= upper + width:
@@ -221,7 +203,7 @@ def mode_report(p: Params, tol: float = DEFAULT_TOL) -> ModeReport:
         )
     return ModeReport(
         params=p,
-        zero_is_mode=zero_is_mode,
+        zero_is_mode=nu < 2.0,
         interior_mode=mode,
         antimode=anti,
         bounds_lower=lower,

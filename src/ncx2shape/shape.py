@@ -3,6 +3,8 @@
 For nu >= 2 the density is log-concave.  For 0 < nu < 2 there is a critical
 noncentrality separating two regimes: the density is decreasing for
 lam <= critical and bimodal (one mode at zero, one interior) above it.
+This rule, with its nu = 2 endpoint, is stated once, in :func:`_decreasing`,
+which :func:`classify` and :func:`ncx2shape.modes.mode_report` share.
 
 Both come from one root per nu: with t = sqrt(lam x) and r = r_{nu/2}(t),
 x^2 l''(x) = g_nu(t) = (2 - nu)/2 + t^2 (1 - r^2)/4 - nu t r/4.  Its zero
@@ -13,11 +15,11 @@ F(t) = t^2 / (t r(t) + nu - 2).  The paper's indicator is a cross-check.
 Every root of the shape problem is a root in t of a function of
 s(t) = t r_{nu/2}(t): g_nu for tau, and 2x l'(x) = s + nu - 2 - t^2 / lam
 for the interior mode and the antimode (see :mod:`ncx2shape.modes`).
-Each hands the solver its value and a slope f' - f f'' / (2 f') from one
-Bessel ratio, through the kernels in :mod:`ncx2shape.density`.  Every
+Each hands the solver f, f' and f'' from one Bessel ratio and its
+derivative r', through the kernels in :mod:`ncx2shape.density`.  Every
 solver finds a single sign change the same way: :func:`_bisect` narrows a
-bracket by Newton steps on that slope (Halley steps on f) kept inside it,
-falling back to halving, until ``hi - lo <= max(xtol, rtol * hi)``.  No
+bracket by Halley steps, which it forms itself, kept inside it, falling
+back to halving, until ``hi - lo <= max(xtol, rtol * hi)``.  No
 solver searches for a bracket, and no end is evaluated: each end is a
 theorem.  Only the nu >= 2 mode, for nu within ~1e-6 of 2, checks its
 clamped lower end (see :mod:`ncx2shape.modes`).
@@ -105,26 +107,26 @@ def _bisect(f, lo: float, hi: float, xtol: float, rtol: float,
             x: float | None = None) -> tuple[float, int]:
     """A point of the final bracket around the sign change of ``f``, and the evaluation count.
 
-    ``f(x)`` returns ``(value, slope)``.  The value is positive at ``lo``
+    ``f(x)`` returns ``(f, f', f'')``.  The value f is positive at ``lo``
     and not positive at ``hi``; neither end is evaluated.  Every evaluated
     point becomes the new ``lo`` or ``hi``, starting from ``x`` (default:
-    the midpoint).  The next point is the Newton step ``x - value / slope``
-    from the last one when it stays in the bracket and is at most half the
-    previous step (rtsafe, *Numerical Recipes* 9.4), and the midpoint
-    otherwise; a slope that is not the derivative changes only the step
-    (every solve here passes one that makes it Halley's).  A Newton step
-    shorter than half the stop width ``w = max(xtol, rtol * x)`` closes the
-    bracket instead: ``f`` is evaluated ``w/4`` beyond the Newton point,
-    then ``w/4`` short of it, and when the first of these lands on the side
-    of the last point the next step is the midpoint.  Evaluations other
-    than halvings are capped at the number of halvings the bracket needs,
-    so a slope that is wrong, zero or NaN at most doubles the cost of plain
-    bisection.  Returns once ``hi - lo <= max(xtol, rtol * hi)``: the
-    Newton point of the closing pair when the loop ends on one and that
-    point lies in the final bracket (it is then within ``w/4`` of both
-    ends), else the bracket's midpoint, so the answer always lies within
-    half that width of a sign change; raises :class:`ConvergenceError` once
-    a midpoint no longer splits the bracket.
+    the midpoint).  The next point is Halley's step, the Newton step
+    ``x - f / slope`` on ``slope = f' - f f'' / (2 f')`` (``f'`` itself where
+    ``f'`` is 0), from the last one when it stays in the bracket and is at
+    most half the previous step (rtsafe, *Numerical Recipes* 9.4), and the
+    midpoint otherwise.  A step shorter than half the stop width
+    ``w = max(xtol, rtol * x)`` closes the bracket instead: ``f`` is
+    evaluated ``w/4`` beyond the step's point, then ``w/4`` short of it,
+    and when the first of these lands on the side of the last point the
+    next step is the midpoint.  Evaluations other than halvings are capped
+    at the number of halvings the bracket needs, so derivatives that are
+    wrong, zero or NaN at most double the cost of plain bisection.  Returns
+    once ``hi - lo <= max(xtol, rtol * hi)``: the step's point of the
+    closing pair when the loop ends on one and that point lies in the final
+    bracket (it is then within ``w/4`` of both ends), else the bracket's
+    midpoint, so the answer always lies within half that width of a sign
+    change; raises :class:`ConvergenceError` once a midpoint no longer
+    splits the bracket.
     """
     evals = 0
     last = hi - lo
@@ -141,7 +143,8 @@ def _bisect(f, lo: float, hi: float, xtol: float, rtol: float,
             x = 0.5 * (lo + hi)
             if not lo < x < hi:
                 raise ConvergenceError(f"bisection cannot split [{lo!r}, {hi!r}] to the tolerance")
-        value, slope = f(x)
+        value, d1, d2 = f(x)
+        slope = d1 - value * d2 / (2.0 * d1) if d1 else d1
         evals += 1
         positive = value > 0.0
         if positive:
@@ -177,19 +180,14 @@ def _bisect(f, lo: float, hi: float, xtol: float, rtol: float,
 def _critical_lambda_cached(nu: float, tol: float) -> CriticalLambda:
     seen = []
 
-    def g(t: float) -> tuple[float, float]:
-        r = _ratio_terms(nu, t)[0]
+    def g(t: float) -> tuple[float, float, float]:
+        r, dr = _ratio_terms(nu, t)
         seen.append((t, r))
-        value, slope = _curvature(nu, t, r), _curvature_slope(nu, t, r)
-        if slope:
-            # g'' from the same r, with r'' = -(nu - 1) (r'/t - r/t^2) - 2 r r':
-            # the Newton step on this slope is Halley's step on g.
-            dr = 1.0 - (nu - 1.0) * r / t - r * r
-            d2r = -(nu - 1.0) * (dr - r / t) / t - 2.0 * r * dr
-            curve = (0.5 * (1.0 - r * r) - 2.0 * t * r * dr - 0.5 * t * t * (dr * dr + r * d2r)
-                     - 0.25 * nu * (2.0 * dr + t * d2r))
-            slope -= value * curve / (2.0 * slope)
-        return value, slope
+        # g'' from the same r, with r'' = -(nu - 1) (r'/t - r/t^2) - 2 r r'.
+        d2r = -(nu - 1.0) * (dr - r / t) / t - 2.0 * r * dr
+        return (_curvature(nu, t, r), _curvature_slope(nu, t, r, dr),
+                0.5 * (1.0 - r * r) - 2.0 * t * r * dr - 0.5 * t * t * (dr * dr + r * d2r)
+                - 0.25 * nu * (2.0 * dr + t * d2r))
 
     # tau ~ 2 (12 nu)^(1/6) as nu -> 0 and ~ 2 (2 - nu)^(1/4) as nu -> 2; the
     # smaller of the two is within 15% of tau on all of (0, 2).
@@ -234,6 +232,17 @@ def critical_lambda(nu: float, tol: float = DEFAULT_TOL) -> CriticalLambda:
     return _critical_lambda_cached(float(nu), float(tol))
 
 
+def _decreasing(nu: float, lam: float, solved: CriticalLambda | None) -> bool:
+    """The paper's theorem: whether the density is decreasing, i.e. has no interior mode.
+
+    Never for nu > 2; for lam <= 2 at nu = 2; for lam <= lambda_nu below
+    nu = 2, where ``solved`` is ``critical_lambda(nu, tol)`` (None otherwise).
+    """
+    if nu > 2.0:
+        return False
+    return lam <= (CRITICAL_LAMBDA_AT_2 if solved is None else solved.lambda_nu)
+
+
 def classify(p: Params, tol: float = DEFAULT_TOL) -> ShapeReport:
     """Classify the density shape for one parameter pair.
 
@@ -244,27 +253,18 @@ def classify(p: Params, tol: float = DEFAULT_TOL) -> ShapeReport:
     """
     _check_tol(tol)
     nu, lam = p.nu, p.lam
-    log_concave = nu >= 2.0
-    convex_then_concave = nu < 2.0 and lam > 0.0
-    crit: float | None
-    if nu > 2.0:
-        decreasing = False
-        bimodal = False
-        crit = None
-    elif nu == 2.0:
-        crit = CRITICAL_LAMBDA_AT_2
-        decreasing = lam <= crit
-        bimodal = False
+    solved = critical_lambda(nu, tol) if nu < 2.0 else None
+    decreasing = _decreasing(nu, lam, solved)
+    if solved is not None:
+        crit = solved.lambda_nu
     else:
-        crit = critical_lambda(nu, tol).lambda_nu
-        decreasing = lam <= crit
-        bimodal = lam > crit
+        crit = CRITICAL_LAMBDA_AT_2 if nu == 2.0 else None
     return ShapeReport(
         params=p,
-        log_concave=log_concave,
+        log_concave=nu >= 2.0,
         decreasing=decreasing,
-        bimodal=bimodal,
-        convex_then_concave=convex_then_concave,
+        bimodal=nu < 2.0 and not decreasing,
+        convex_then_concave=nu < 2.0 and lam > 0.0,
         critical_lambda=crit,
     )
 

@@ -23,13 +23,11 @@ from ncx2shape import (
     density_series,
     finite_difference,
     grid_local_maxima,
-    has_interior_mode,
     interior_mode,
     log_density,
     log_density_d1,
     log_density_d2,
     log_density_d3,
-    mode_bounds,
     mode_report,
 )
 from ncx2shape.shape import _critical_lambda_cached
@@ -140,7 +138,7 @@ def test_criterion_06_classification_vs_oracle():
             found = grid_local_maxima(p, grid)
             rep = mode_report(p)
             expect_boundary = rep.zero_is_mode
-            expect_interior = 1 if has_interior_mode(p) else 0
+            expect_interior = 0 if rep.interior_mode is None else 1
             if found.boundary_maximum != expect_boundary or len(found.maxima) != expect_interior:
                 mismatches.append((nu, lam, found.boundary_maximum, len(found.maxima)))
     ok = not mismatches
@@ -156,10 +154,10 @@ def test_criterion_07_mode_bounds_and_edge_negativity():
         nu = float(rng.uniform(0.25, 8.0))
         lam = float(rng.uniform(0.0, 20.0))
         p = Params(nu=nu, lam=lam)
-        if not has_interior_mode(p):
+        rep = mode_report(p)
+        if rep.interior_mode is None:
             continue
-        m = interior_mode(p)
-        lower, upper = mode_bounds(p)
+        m, lower, upper = rep.interior_mode, rep.bounds_lower, rep.bounds_upper
         good = lam + nu - 4.0 < m
         if nu >= 2.0:
             good = good and (nu - 2.0) * (1.0 + lam / nu) <= m + 1e-9 and m <= lam + nu - 2.0 + 1e-9

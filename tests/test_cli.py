@@ -13,7 +13,7 @@ import pytest
 
 import ncx2shape
 from ncx2shape import Params, critical_lambda, density_bessel
-from ncx2shape.cli import main
+from ncx2shape.cli import MAX_ROWS, main
 from ncx2shape.errors import ConvergenceError
 
 
@@ -101,6 +101,15 @@ class TestEval:
                                  "--format", fmt)
         assert code == 3 and out == "" and "numerical failure" in err
 
+    def test_rejects_too_many_points_before_allocating(self, capsys):
+        # 1e11 points would need 800 GB for the grid alone.
+        code, out, err = run_cli(capsys, "eval", "--nu", "1", "--lambda", "5", "--x-min", "0.1",
+                                 "--x-max", "2", "--points", "100000000000")
+        assert (code, out) == (2, "")
+        assert str(MAX_ROWS) in err
+        assert run_cli(capsys, "eval", "--nu", "1", "--lambda", "5", "--x-min", "0.1",
+                       "--x-max", "2", "--points", str(MAX_ROWS + 1))[0] == 2
+
     def test_tiny_nu(self, capsys):
         # nu/2 - 1 rounds to the order -1 here; the row still answers.
         env = run_json(capsys, "eval", "--nu", "1e-16", "--lambda", "5", "--x", "3")
@@ -160,6 +169,14 @@ class TestCriticalTable:
         assert len(rows) == 19
         assert all(r["lambda_nu"] > 2.0 for r in rows)
 
+    def test_rejects_too_many_steps_before_allocating(self, capsys):
+        code, out, err = run_cli(capsys, "critical-table", "--nu-min", "0.1", "--nu-max", "1.9",
+                                 "--steps", "100000000000")
+        assert (code, out) == (2, "")
+        assert str(MAX_ROWS) in err
+        assert run_cli(capsys, "critical-table", "--nu-min", "0.1", "--nu-max", "1.9",
+                       "--steps", str(MAX_ROWS + 1))[0] == 2
+
     def test_rejects_out_of_range(self, capsys):
         assert run_cli(capsys, "critical-table", "--nu", "3")[0] == 2
         assert run_cli(capsys, "critical-table", "--nu", "0")[0] == 2
@@ -193,8 +210,8 @@ class TestModes:
         import ncx2shape.modes
 
         def inflated(nu, t):
-            r, s, ds = terms(nu, t)
-            return 1.2 * r, 1.2 * s, 1.2 * ds
+            r, dr = terms(nu, t)
+            return 1.2 * r, 1.2 * dr
 
         terms = ncx2shape.modes._ratio_terms
         monkeypatch.setattr(ncx2shape.modes, "_ratio_terms", inflated)
@@ -202,6 +219,11 @@ class TestModes:
         assert code == 3
         assert out == ""
         assert "outside its bounds" in err
+
+    def test_lambda_beyond_the_overflow_limit_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "modes", "--nu", "1", "--lambda", "1.4e154")
+        assert (code, out) == (2, "")
+        assert "too large" in err
 
     @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
     def test_rejects_bad_tolerance(self, tol):

@@ -29,12 +29,10 @@ from ncx2shape import (
     critical_lambda,
     grid_local_maxima,
     GridSpec,
-    has_interior_mode,
     inflection_point,
     interior_mode,
     log_density_d1,
     log_density_d2,
-    mode_bounds,
     mode_report,
 )
 
@@ -100,23 +98,24 @@ class TestAntimode:
         assert m_low <= lam + nu - 4.0
 
 
+def _bounds(p):
+    rep = mode_report(p)
+    return rep.bounds_lower, rep.bounds_upper
+
+
 class TestModeBounds:
     def test_log_concave_bounds(self):
-        assert mode_bounds(Params(nu=4, lam=5)) == (6.0, 7.0)
+        assert _bounds(Params(nu=4, lam=5)) == (6.0, 7.0)
 
     def test_two_dof_bounds(self):
-        lower, upper = mode_bounds(Params(nu=2, lam=3))
+        lower, upper = _bounds(Params(nu=2, lam=3))
         assert lower == 1.0  # loose bound lam + nu - 4 beats (nu-2)(1+lam/nu) = 0
         assert upper == 3.0
 
     def test_bimodal_bounds(self):
-        lower, upper = mode_bounds(Params(nu=1, lam=5))
+        lower, upper = _bounds(Params(nu=1, lam=5))
         assert lower == 2.0
         assert upper == 3.0
-
-    def test_error_without_mode(self):
-        with pytest.raises(DomainError):
-            mode_bounds(Params(nu=1, lam=4))
 
     @pytest.mark.parametrize(
         "nu,lam,source",
@@ -179,12 +178,37 @@ class TestModeReport:
         mode_report(Params(nu=1, lam=5))
         assert calls == []
 
+    @pytest.mark.parametrize("nu, lam, lookups", [(1, 5, 1), (1, 4, 1), (0.5, 30, 1), (1.999, 3, 1),
+                                                  (2, 2, 0), (2, 5, 0), (4, 5, 0), (3, 0, 0)])
+    def test_critical_lambda_lookups(self, nu, lam, lookups):
+        # Below nu = 2 one lookup gives both the existence test and tau; at
+        # and above it none is needed.
+        info = shape_module._critical_lambda_cached.cache_info
+        before = info()
+        mode_report(Params(nu, lam))
+        after = info()
+        assert (after.hits + after.misses) - (before.hits + before.misses) == lookups
+
+    @pytest.mark.parametrize("nu, below, above", [
+        # lam * (lam - 2), the squared t at the bracket end lam + nu - 3,
+        # overflows from one ulp above sqrt(DBL_MAX).
+        (1.0, math.sqrt(sys.float_info.max), math.nextafter(math.sqrt(sys.float_info.max), math.inf)),
+        (1.0, 1e154, 1.4e154),
+        (4.0, 1e154, 1e160),
+    ])
+    def test_lambda_overflow_limit(self, nu, below, above):
+        # Beyond the limit t = sqrt(lam x) overflows at the bracket end: the
+        # mode used to come out as inf and fail its bounds check.
+        assert mode_report(Params(nu, below)).interior_mode > 0.99 * below
+        with pytest.raises(DomainError, match=r"too large.*1\.341e\+154"):
+            mode_report(Params(nu, above))
+
     def test_mode_outside_its_bounds_raises(self, monkeypatch):
         # A ratio 20% too large moves the mode of (4, 5) from 6.11 to 7.76,
         # above its upper bound 7.
         def inflated(nu, t):
-            r, s, ds = terms(nu, t)
-            return 1.2 * r, 1.2 * s, 1.2 * ds
+            r, dr = terms(nu, t)
+            return 1.2 * r, 1.2 * dr
 
         terms = ncx2shape.modes._ratio_terms
         monkeypatch.setattr(ncx2shape.modes, "_ratio_terms", inflated)
@@ -276,6 +300,30 @@ class TestModeBoundIndicator:
 
 
 class TestExistenceConsistency:
+    @settings(max_examples=200, deadline=None)
+    @given(nu=st.floats(min_value=1e-6, max_value=8.0), lam=st.floats(min_value=0.0, max_value=50.0))
+    @example(nu=2.0, lam=2.0)
+    @example(nu=2.0, lam=math.nextafter(2.0, 0.0))
+    # A known defect of the nu >= 2 lower-end clamp, not of the existence
+    # rule: the mode exists, but 2x l'(x) rounds to 0 at the bracket's lower end.
+    @example(nu=2.0, lam=math.nextafter(2.0, 3.0)).xfail(
+        raises=InternalConsistencyError, reason="lower-end clamp at nu = 2")
+    @example(nu=2.0, lam=0.0)
+    def test_interior_mode_exactly_when_not_decreasing(self, nu, lam):
+        p = Params(nu, lam)
+        assert (mode_report(p).interior_mode is not None) == (not classify(p).decreasing)
+
+    @settings(max_examples=60, deadline=None)
+    @given(nu=st.floats(min_value=1e-6, max_value=2.0, exclude_max=True), ulps=st.sampled_from([-1, 0, 1]))
+    @example(nu=1.0, ulps=1)
+    def test_interior_mode_one_ulp_from_critical(self, nu, ulps):
+        lam = critical_lambda(nu).lambda_nu
+        if ulps:
+            lam = math.nextafter(lam, ulps * math.inf)
+        p = Params(nu, lam)
+        assert classify(p).decreasing == (ulps <= 0)
+        assert (mode_report(p).interior_mode is not None) == (ulps > 0)
+
     """Interior-mode existence tracks the computed critical noncentrality.
 
     For some noncentralities the interior mode disappears and reappears as
@@ -287,13 +335,14 @@ class TestExistenceConsistency:
     def test_existence_matches_threshold(self, lam):
         for nu in (0.001, 0.25, 0.5, 1.75, 1.9, 3.0):
             expected = nu > 2.0 or (nu < 2.0 and lam > critical_lambda(nu).lambda_nu)
-            assert has_interior_mode(Params(nu=nu, lam=lam)) == expected
+            assert (mode_report(Params(nu=nu, lam=lam)).interior_mode is not None) == expected
 
     def test_disappear_reappear_demonstration(self):
         # lam = 4.4 sits above the threshold at nu = 0.001, below it at
         # nu = 0.25 and above it again at nu = 1.9
         lam = 4.4
-        pattern = [has_interior_mode(Params(nu=nu, lam=lam)) for nu in (0.001, 0.25, 1.9)]
+        pattern = [mode_report(Params(nu=nu, lam=lam)).interior_mode is not None
+                   for nu in (0.001, 0.25, 1.9)]
         thresholds = [critical_lambda(nu).lambda_nu for nu in (0.001, 0.25, 1.9)]
         assert pattern == [lam > t for t in thresholds]
         # confirmed by the grid oracle on the series density

@@ -23,7 +23,6 @@ from ncx2shape import (
     classify,
     critical_lambda,
     criticality_indicator,
-    has_interior_mode,
     inflection_point,
     interior_mode,
     log_density_d2,
@@ -304,7 +303,6 @@ class TestClassify:
         p = Params(nu, root * (1.0 + sign * 1e-10))
         bimodal = sign > 0.0
         assert classify(p).bimodal == bimodal
-        assert has_interior_mode(p) == bimodal
         assert (mode_report(p).interior_mode is not None) == bimodal
 
     def test_exclusive_flags_below_two_dof(self):
@@ -371,11 +369,12 @@ def _plain_bisection(f, lo, hi, xtol, rtol):
 
 
 def _g_and_slope(nu):
-    """g_nu and its derivative in t, from one ratio."""
+    """g_nu, its derivative in t and a second derivative of 0, so plain Newton steps, from one ratio."""
     def f(t):
         r = bessel_ratio(0.5 * nu, t)
         dr = 1.0 - (nu - 1.0) * r / t - r * r
-        return g_nu(nu, t), 0.5 * t * (1.0 - r * r) - 0.5 * t * t * r * dr - 0.25 * nu * (r + t * dr)
+        return (g_nu(nu, t), 0.5 * t * (1.0 - r * r) - 0.5 * t * t * r * dr - 0.25 * nu * (r + t * dr),
+                0.0)
     return f
 
 
@@ -385,8 +384,10 @@ def _t(lam, x):
 
 # (function, lo, hi, xtol, rtol, start): the tau solve at three nu, the
 # interior mode of (1, 5), and the mode of (60, 500) on a wide bracket.
-# The modes are solved in t = sqrt(lam x), on the solvers' one-ratio h(t),
-# over the x brackets [1.02, 3.000003] and [550, 2000] from 3 and 557.5.
+# Each function returns (f, f', f'').  The tau problems pass f'' = 0, so
+# their steps are Newton's.  The modes are solved in t = sqrt(lam x), on the
+# solvers' one-ratio h(t) and Halley steps, over the x brackets
+# [1.02, 3.000003] and [550, 2000] from 3 and 557.5.
 ROOT_PROBLEMS = {
     "tau_0.1": (_g_and_slope(0.1), 0.0, 3.0, 0.0, 1e-8, 2.0),
     "tau_1": (_g_and_slope(1.0), 0.0, 3.0, 0.0, 1e-8, 2.0),
@@ -415,9 +416,9 @@ class TestRootFinder:
         seen = []
 
         def recorded(x):
-            value, slope = f(x)
+            value, slope, curve = f(x)
             seen.append((x, value))
-            return value, distort(slope)
+            return value, distort(slope), curve
 
         root, evals = _bisect(recorded, lo, hi, xtol, rtol, start)
         assert evals == len(seen)
@@ -437,7 +438,7 @@ class TestRootFinder:
     @pytest.mark.parametrize("problem", sorted(ROOT_PROBLEMS))
     def test_nan_derivative_is_plain_bisection(self, problem):
         f, lo, hi, xtol, rtol, _ = ROOT_PROBLEMS[problem]
-        got = _bisect(lambda x: (f(x)[0], math.nan), lo, hi, xtol, rtol)
+        got = _bisect(lambda x: (f(x)[0], math.nan, 0.0), lo, hi, xtol, rtol)
         assert got == _plain_bisection(f, lo, hi, xtol, rtol)
 
     @pytest.mark.parametrize("problem", ["tau_0.1", "tau_1", "tau_1.9", "mode_1_5"])
