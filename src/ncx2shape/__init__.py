@@ -8,15 +8,7 @@ antimode location with provable bounds.
 
 __version__ = "0.1.0"
 
-from .bessel import (
-    RatioEval,
-    bessel_i,
-    bessel_ratio,
-    bessel_ratio_derivative,
-    log_bessel_i,
-    ratio_asymptotic,
-    ratio_eval,
-)
+from .bessel import bessel_i, bessel_ratio, log_bessel_i
 from .density import (
     LogDensityDerivatives,
     Params,
@@ -71,13 +63,11 @@ __all__ = [
     "ModeReport",
     "NCX2ShapeError",
     "Params",
-    "RatioEval",
     "ShapeReport",
     "adaptive_quadrature",
     "antimode",
     "bessel_i",
     "bessel_ratio",
-    "bessel_ratio_derivative",
     "central_density",
     "classify",
     "critical_lambda",
@@ -97,6 +87,4 @@ __all__ = [
     "log_density_d3",
     "log_density_derivatives",
     "mode_report",
-    "ratio_asymptotic",
-    "ratio_eval",
 ]

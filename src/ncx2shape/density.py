@@ -45,9 +45,9 @@ _REL_TAIL_EPS = 1e-16
 # mu = nu/2, but the public functions are called one at a time.  This memo
 # keeps the last few points' triples, keyed by (mu, t).  A miss takes what
 # ratio_and_log_i shares (one series loop below the series crossover, the
-# asymptotic sums where the ratio is their quotient) and calls the
-# module-level kernels for the rest: bessel_ratio wherever the ratio is the
-# continued fraction, so the l'' check there compares two lineages, and
+# two scaled large-argument sums far above it) and calls the module-level
+# kernels for the rest: bessel_ratio wherever the ratio is not shared (a
+# continued fraction), so the l'' check there compares two lineages, and
 # log_bessel_i where nothing is shared.
 @functools.lru_cache(maxsize=2)
 def _bessel_memo(mu: float, t: float) -> tuple[float, float, float]:
@@ -305,7 +305,7 @@ def log_density_d2(p: Params, x: float) -> float:
     The two forms coincide algebraically, so any disagreement beyond
     rounding signals a defect in the Bessel layer and raises
     :class:`InternalConsistencyError`.  They are independent lineages only
-    where r is the continued fraction (1 <= t < max(32 + nu, nu^2 / 8)),
+    where r is a continued fraction (1 <= t < max(32 + nu, nu^2 / 8)),
     for the logs come from other sums there.  Below t = 1 and above that
     band, r and both logs come from the same series or asymptotic sums, and
     the check sees only the arithmetic that follows them.

@@ -7,7 +7,9 @@ oracles.
 """
 
 import math
+import sys
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -22,24 +24,23 @@ from ncx2shape import (
     DomainError,
     bessel_i,
     bessel_ratio,
-    bessel_ratio_derivative,
     finite_difference,
     log_bessel_i,
-    ratio_asymptotic,
-    ratio_eval,
 )
 from ncx2shape.bessel import (
     _asymptotic_pair,
+    _hankel_pair_from,
     _i_scaled_asymptotic,
     _i_series,
     _log_i_debye,
     _log_series_lead,
-    _ratio_asymptotic_from,
     _ratio_cf,
+    _ratio_perron,
     _series_crossover,
     _series_sum,
     ratio_and_log_i,
 )
+from ncx2shape.density import _ratio_slope
 
 # mpmath references
 I_HALF_AT_1 = 0.9376748882454876
@@ -49,6 +50,44 @@ LOG_I0_AT_700 = 695.8056999984434
 
 def hybrid_close(a, b, tol):
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+
+
+def _floats_log_and_flat(lo, hi):
+    """Floats in [lo, hi], both uniform and log-uniform, so every decade shows up."""
+    log_uniform = st.floats(math.log10(lo), math.log10(hi)).map(lambda e: min(max(10.0 ** e, lo), hi))
+    return st.one_of(st.floats(min_value=lo, max_value=hi), log_uniform)
+
+
+def _mp_log_i(mu, x, shift=0):
+    """log I_{mu - shift}(x) at 40 digits, the order formed at that precision."""
+    with mpmath.workdps(40):
+        return float(mpmath.log(mpmath.besseli(mpmath.mpf(mu) - shift, mpmath.mpf(x))))
+
+
+def _mp_ratio(mu, x):
+    """r_mu(x) at 40 digits, the order mu - 1 formed at that precision."""
+    with mpmath.workdps(40):
+        m, mx = mpmath.mpf(mu), mpmath.mpf(x)
+        return float(mpmath.besseli(m, mx) / mpmath.besseli(m - 1, mx))
+
+
+def bessel_ratio_derivative(mu, x):
+    """r'_mu(x) = 1 - (2 mu - 1) r_mu(x) / x - r_mu(x)^2, the identity the density uses."""
+    return _ratio_slope(2.0 * mu, x, bessel_ratio(mu, x))
+
+
+def ratio_asymptotic(mu, x, regime):
+    """Two-term expansions of r_mu(x), oracles for its limiting behaviour.
+
+    With nu = 2 mu, ``regime="small"`` gives x/nu - x^3 / (nu^2 (nu + 2))
+    and ``regime="large"`` gives 1 - (nu - 1) / (2 x).
+    """
+    nu = 2.0 * mu
+    if regime == "small":
+        return x / nu - x ** 3 / (nu * nu * (nu + 2.0))
+    if regime == "large":
+        return 1.0 - (nu - 1.0) / (2.0 * x)
+    raise DomainError(f"regime must be 'small' or 'large', got {regime!r}")
 
 
 def naive_series_i(mu, x, terms=300):
@@ -132,6 +171,25 @@ class TestLogBesselI:
         #            = x - log 2 + log1p(-exp(-2x)) + 0.5 log(2/(pi x))
         expected = x - math.log(2.0) + 0.5 * math.log(2.0 / (math.pi * x))
         assert hybrid_close(log_bessel_i(0.5, x), expected, 1e-13)
+
+    @settings(max_examples=200, deadline=None)
+    @given(mu=_floats_log_and_flat(1e-300, 50.0), x=_floats_log_and_flat(1e-300, 1e8))
+    # The seams: series to Debye at 30 + 2 mu, Debye to Hankel at mu^2 / 2,
+    # and series to Hankel at 30 + 2 mu for mu <= 10.
+    @example(mu=50.0, x=math.nextafter(130.0, 0.0))
+    @example(mu=50.0, x=130.0)
+    @example(mu=50.0, x=math.nextafter(1250.0, 0.0))
+    @example(mu=50.0, x=1250.0)
+    @example(mu=12.0, x=72.0)
+    @example(mu=1.0, x=math.nextafter(32.0, 0.0))
+    @example(mu=1.0, x=32.0)
+    def test_whole_range_against_mpmath(self, mu, x):
+        # Counted in ulp of the largest of x, the result and the two terms
+        # of the series' log lead, mu log(x/2) and lgamma(mu + 1): that is
+        # ulp(x) wherever x dominates.
+        ref = _mp_log_i(mu, x)
+        scale = max(x, abs(ref), abs(mu * math.log(0.5 * x)), math.lgamma(mu + 1.0), 1.0)
+        assert abs(log_bessel_i(mu, x) - ref) <= 8.0 * math.ulp(scale)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -220,11 +278,16 @@ class TestBesselRatio:
 
     @pytest.mark.parametrize("mu", [0.05, 0.25, 0.5, 1.0, 2.5, 5.0])
     def test_cf_asymptotic_overlap(self, mu):
-        xc = 30.0 + 2.0 * (abs(mu) + 1.0)
+        # Gauss's and Perron's fractions agree around their seam at
+        # 30 + 2 mu, where bessel_ratio passes from the one to the other.
+        xc = _series_crossover(mu)
         for x in (xc - 5.0, xc - 1.0, xc + 1.0, xc + 5.0):
             a = _ratio_cf(mu, x)
-            b = _i_scaled_asymptotic(mu, x) / _i_scaled_asymptotic(mu - 1.0, x)
-            assert abs(a - b) / a < 1e-13
+            b = _ratio_perron(mu, x)
+            assert abs(a - b) / a < 4e-15
+        below = math.nextafter(xc, 0.0)
+        assert bessel_ratio(mu, below) == _ratio_cf(mu, below)
+        assert bessel_ratio(mu, xc) == _ratio_perron(mu, xc)
 
     def test_cf_iteration_cap_raises(self, monkeypatch):
         # r_1(20) takes 28 levels of the fraction.
@@ -232,12 +295,18 @@ class TestBesselRatio:
         with pytest.raises(ConvergenceError, match="iteration cap"):
             _ratio_cf(1.0, 20.0)
 
+    def test_perron_iteration_cap_raises(self, monkeypatch):
+        # r_1(32) takes 16 levels of Perron's fraction.
+        monkeypatch.setattr(bessel_module, "CF_MAX_ITER", 3)
+        with pytest.raises(ConvergenceError, match="iteration cap"):
+            _ratio_perron(1.0, 32.0)
+
     @settings(max_examples=150, deadline=None)
     @given(mu=st.floats(min_value=0.0, max_value=50.0, exclude_min=True),
            u=st.floats(min_value=0.0, max_value=1.0))
     def test_asymptotic_pair_is_two_single_sums(self, mu, u):
-        # x runs log-uniformly from the ratio's asymptotic crossover to 1e8.
-        start = _ratio_asymptotic_from(mu)
+        # x runs log-uniformly from where ratio_and_log_i shares the pair to 1e8.
+        start = _hankel_pair_from(mu)
         x = min(start * (1e8 / start) ** u, 1e8)
         single = (_i_scaled_asymptotic(mu, x), _i_scaled_asymptotic(mu - 1.0, x))
         assert _asymptotic_pair(mu, x) == single
@@ -268,18 +337,11 @@ class TestBesselRatio:
             bessel_ratio(1.0, 0.0)
 
     def test_ratio_eval_consistency(self):
-        # value against exp(log I_mu - log I_{mu-1}), both lineages
+        # bessel_ratio against exp(log I_mu - log I_{mu-1}), two lineages
         for mu in (0.25, 0.5, 1.0, 3.0):
             for x in (0.01, 0.5, 2.0, 20.0, 45.0):
-                ev = ratio_eval(mu, x)
-                recomposed = math.exp(ev.log_i_num - ev.log_i_den)
-                assert hybrid_close(ev.value, recomposed, 1e-12)
-
-
-def _floats_log_and_flat(lo, hi):
-    """Floats in [lo, hi], both uniform and log-uniform, so every decade shows up."""
-    log_uniform = st.floats(math.log10(lo), math.log10(hi)).map(lambda e: min(max(10.0 ** e, lo), hi))
-    return st.one_of(st.floats(min_value=lo, max_value=hi), log_uniform)
+                recomposed = math.exp(log_bessel_i(mu, x) - log_bessel_i(mu - 1.0, x))
+                assert hybrid_close(bessel_ratio(mu, x), recomposed, 1e-12)
 
 
 class TestSeriesRangeAgainstMpmath:
@@ -313,26 +375,45 @@ class TestSeriesRangeAgainstMpmath:
 
 
 class TestRatioAboveSeriesRange:
-    """x >= 1, up to four times the crossover to the large-argument quotient."""
+    """x >= 1: Gauss's fraction up to 30 + 2 mu, Perron's from there to the largest double."""
 
     @settings(max_examples=150, deadline=None)
     @given(mu=_floats_log_and_flat(1e-16, 50.0).filter(lambda m: m > 1e-16),
-           u=st.floats(min_value=0.0, max_value=1.0))
-    # The quotient used to take over at 32 + 2 mu, far below mu^2 / 2 = 1250:
-    # the ratio came out 34% high here.
-    @example(mu=50.0, u=0.6)
-    def test_ratio(self, mu, u):
-        x = (4.0 * max(32.0 + 2.0 * mu, 0.5 * mu * mu)) ** u
-        with mpmath.workdps(30):
-            m, mx = mpmath.mpf(mu), mpmath.mpf(x)
-            ratio = mpmath.besseli(m, mx) / mpmath.besseli(m - 1, mx)
+           x=_floats_log_and_flat(1.0, 1e8))
+    # The large-argument quotient used to take over at 32 + 2 mu, far below
+    # mu^2 / 2 = 1250: the ratio came out 34% high here.
+    @example(mu=50.0, x=165.7)
+    # Both sides of the seam between the two fractions.
+    @example(mu=50.0, x=math.nextafter(130.0, 0.0))
+    @example(mu=50.0, x=130.0)
+    @example(mu=1.0, x=math.nextafter(32.0, 0.0))
+    @example(mu=1.0, x=32.0)
+    @example(mu=0.25, x=30.5)
+    @example(mu=2e-16, x=30.0)
+    def test_ratio(self, mu, x):
+        ratio = _mp_ratio(mu, x)
         assert abs(bessel_ratio(mu, x) - ratio) <= 4e-15 * ratio
 
+    @pytest.mark.parametrize("mu", [1e-16, 0.5, 1.0, 10.0, 30.0, 50.0])
+    def test_largest_arguments(self, mu):
+        # r = 1 - (2 mu - 1) / (2x) + O(1/x^2) rounds to 1 here.  The
+        # large-argument quotient gave 1.0 at 1e300 and 1e307 as well, and
+        # raised ZeroDivisionError at the largest double, where
+        # sqrt(2 pi x) overflowed.
+        for x in (1e300, 1e307, sys.float_info.max):
+            assert bessel_ratio(mu, x) == 1.0
 
-def _mp_log_i(mu, x, shift=0):
-    """log I_{mu - shift}(x) at 40 digits, the order formed at that precision."""
-    with mpmath.workdps(40):
-        return float(mpmath.log(mpmath.besseli(mpmath.mpf(mu) - shift, mpmath.mpf(x))))
+    @settings(max_examples=150, deadline=None)
+    @given(mu=_floats_log_and_flat(1e-300, 50.0), u=st.floats(min_value=0.0, max_value=1.0))
+    @example(mu=50.0, u=0.0)
+    @example(mu=1e-300, u=0.0)
+    def test_perron_levels(self, mu, u):
+        # From its crossover to 1e8 Perron's fraction takes at most 20
+        # levels (19 at most in random draws, at the crossover).
+        lo = _series_crossover(mu)
+        x = min(lo * (1e8 / lo) ** u, 1e8)
+        with mock.patch.object(bessel_module, "CF_MAX_ITER", 20):
+            _ratio_perron(mu, x)
 
 
 class TestSharedKernel:
@@ -341,9 +422,14 @@ class TestSharedKernel:
     @settings(max_examples=150, deadline=None)
     @given(mu=_floats_log_and_flat(1e-20, 50.0), u=st.floats(min_value=0.0, max_value=1.0))
     def test_asymptotic_band_is_bit_identical(self, mu, u):
-        x = _ratio_asymptotic_from(mu) * 1e4 ** u
+        # Both logs are bit-identical.  r is the quotient of the two sums,
+        # bessel_ratio Perron's fraction: they agree within the ratio's
+        # 4e-15 bound (17 ulp apart at most in 3000 random draws), and r is
+        # within a few ulp of mpmath (9 at most).
+        x = _hankel_pair_from(mu) * 1e4 ** u
         r, log_i_lower, log_i = ratio_and_log_i(mu, x)
-        assert r == bessel_ratio(mu, x)
+        assert abs(r - bessel_ratio(mu, x)) <= 4e-15 * r
+        assert abs(r - _mp_ratio(mu, x)) <= 16.0 * math.ulp(r)
         assert log_i == log_bessel_i(mu, x)
         if mu - 1.0 > -1.0:
             assert log_i_lower == log_bessel_i(mu - 1.0, x)
