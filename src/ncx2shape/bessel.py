@@ -394,15 +394,18 @@ def bessel_ratio(mu: float, x: float) -> float:
     mpmath (a hypothesis sweep in the tests); the two fractions agree to
     ~1e-15 at their seam.
     """
-    if math.isnan(mu) or mu <= 0.0:
+    # Comparisons that are false for NaN: each argument is checked once, and
+    # x only below 1.
+    if not mu > 0.0:
         raise DomainError(f"ratio requires order mu > 0, got {mu}")
-    _check_positive(x)
-    if x < SERIES_RATIO_MAX_X:
-        total, total_lower = _series_pair(mu, x)
-        return x * total / (2.0 * mu * total_lower)
-    if x < _series_crossover(mu):
-        return _ratio_cf(mu, x)
-    return _ratio_perron(mu, x)
+    if x >= SERIES_RATIO_MAX_X:
+        if x < _series_crossover(mu):
+            return _ratio_cf(mu, x)
+        return _ratio_perron(mu, x)
+    if not x > 0.0:
+        raise DomainError(f"x must be > 0, got {x}")
+    total, total_lower = _series_pair(mu, x)
+    return x * total / (2.0 * mu * total_lower)
 
 
 def ratio_and_log_i(mu: float, x: float) -> tuple[float | None, float, float] | None:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,9 +61,15 @@ def _bessel_memo(mu: float, t: float) -> tuple[float, float, float]:
 
 
 def _bessel_argument(t: float) -> float:
-    # x > 0 and lam >= LAMBDA_ZERO are checked, so t = sqrt(lam x) is 0 only by underflow.
+    # x > 0 and lam >= LAMBDA_ZERO are checked, so t = sqrt(lam x) is 0 only by
+    # underflow, and infinite only where lam * x is.
     if t == 0.0:
         raise DomainError("lam * x underflows to 0, so the Bessel argument sqrt(lam x) is 0")
+    if t == math.inf:
+        raise DomainError(
+            f"lam * x must be finite (at most {sys.float_info.max:.4g}), so that the Bessel "
+            "argument sqrt(lam x) is finite"
+        )
     return t
 
 

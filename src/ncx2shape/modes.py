@@ -39,6 +39,14 @@ For nu < 2 the brackets in t are theorems, and no end is evaluated:
   I_{mu-1} - I_{mu+1} = (2 mu / t) I_mu, so s < t^2 / nu and h < 0
   wherever t^2 <= nu (2 - nu).
 
+Each solve starts near its root.  The antimode starts from t_inf(nu), the
+root of s(t) = 2 - nu, which it approaches as lam -> inf (a stored fit),
+moved by a quadratic correction for finite lam that needs no Bessel call
+(:func:`_antimode_start`); its error falls like lam^-3.  The mode starts
+at lam + nu - 3 + (nu - 3) / (2 lam) below nu = 2 and at the midpoint of
+the bounds above it.  A start that is NaN or outside the bracket gives way
+to the midpoint, and the closing pair still proves the bracket.
+
 For nu >= 2 the bracket is the proven bounds, padded (at nu = 5,
 lam = 5.96e-8 the mode is 6e-16 above its lower bound, where h rounds to
 0), and no end is evaluated either.  Only where the padded lower bound is
@@ -53,9 +61,9 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .density import LAMBDA_ZERO, Params, _ratio_terms
+from .density import LAMBDA_ZERO, Params, _ratio_slope, _ratio_terms
 from .errors import DomainError, InternalConsistencyError
-from .shape import _bisect, _check_tol, _decreasing, critical_lambda
+from .shape import _bisect, _check_tol, _decreasing, _horner, critical_lambda
 
 # Position tolerance (relative) for the mode and antimode solvers.
 DEFAULT_TOL = 1e-10
@@ -67,6 +75,27 @@ BOUND_NU_GT_3 = "nu_gt_3"
 BOUND_BIMODAL = "bimodal"
 
 _BRACKET_PAD = 1e-6
+
+# t_inf(nu) / (nu^(1/4) (2 - nu)^(1/2)), t_inf being the root of
+# s(t) = 2 - nu, as polynomials in w, highest power first: w = nu^(1/2) below
+# nu = 1 (degree 12) and w = (2 - nu)^(1/2) from nu = 1 (degree 16).  Each is
+# the Chebyshev interpolant on w in [0, 1] of the 50-digit mpmath t_inf
+# (mpmath.chebyfit, one node per coefficient), rounded to double.  With the
+# factor, :func:`_t_inf` is within 1e-11 relative of t_inf on all of (0, 2)
+# (tested against mpmath).
+_T_INF_LOW = (
+    0.00015365528115479266, -0.0010138517539714299, 0.003122187641121543, -0.006857275616131534,
+    0.014506160485383708, -0.029747229349930345, 0.04988527232056975, -0.06783054984351437,
+    0.10084986007846042, -0.20394611459359724, 0.39774748257777426, -0.4714045193352933,
+    1.4142135623687915,
+)
+_T_INF_HIGH = (
+    0.043719612561704986, -0.3064850050248211, 0.9836171521384312, -1.9034610923455344,
+    2.4712240606944187, -2.2670835633370476, 1.5100440553891894, -0.7380332746872117,
+    0.26600326962326826, -0.06921736593089467, 0.015474478467654746, -0.0016572443704735746,
+    0.006333345107341116, -7.0896506574054875e-06, 1.8858162266587896e-07, -1.9759512801970252e-09,
+    1.1892071150061436,
+)
 
 
 @dataclass(frozen=True)
@@ -129,6 +158,36 @@ def _slope_in_t(nu: float, lam: float, sign: float):
     return h
 
 
+def _t_inf(nu: float) -> float:
+    """The root t_inf of s(t) = t r_{nu/2}(t) = 2 - nu, from the stored fit, for 0 < nu < 2."""
+    if nu < 1.0:
+        fitted = _horner(_T_INF_LOW, math.sqrt(nu))
+    else:
+        fitted = _horner(_T_INF_HIGH, math.sqrt(2.0 - nu))
+    return nu ** 0.25 * math.sqrt(2.0 - nu) * fitted
+
+
+def _antimode_start(nu: float, lam: float) -> float | None:
+    """The antimode in t, from t_inf(nu) and a quadratic correction for finite lam (lam > 2).
+
+    The antimode tends to t_inf as lam -> inf.  At t_inf, r = (2 - nu) / t_inf,
+    so s' = t + (2 - nu) r - t r^2 = t_inf and s'' = 1 - r^2 - (2 - nu) r', with
+    no Bessel call; then h(t_inf + d) = 0 to second order in d is
+    s' d + s'' d^2 / 2 = (t_inf + d)^2 / lam, whose smaller root is taken.
+    None where it has no real root.
+    """
+    t = _t_inf(nu)
+    r = (2.0 - nu) / t
+    curve = 1.0 - r * r - (2.0 - nu) * _ratio_slope(nu, t, r)
+    a = 0.5 * curve - 1.0 / lam
+    b = t - 2.0 * t / lam
+    c = t * (t / lam)
+    disc = b * b + 4.0 * a * c
+    if not disc >= 0.0:
+        return None
+    return t + 2.0 * c / (b + math.sqrt(disc))
+
+
 def mode_report(p: Params, tol: float = DEFAULT_TOL) -> ModeReport:
     """Full mode summary: zero mode flag, interior mode, antimode, bounds.
 
@@ -175,7 +234,8 @@ def mode_report(p: Params, tol: float = DEFAULT_TOL) -> ModeReport:
         t = _bisect(slope, tau, math.sqrt(lam * x_hi), 0.0, rtol,
                     math.sqrt(lam * start) if lam * start > tau * tau else None)[0]
         mode = t * (t / lam)
-        t = _bisect(_slope_in_t(nu, lam, -1.0), math.sqrt(nu * (2.0 - nu)), tau, 0.0, rtol)[0]
+        t = _bisect(_slope_in_t(nu, lam, -1.0), math.sqrt(nu * (2.0 - nu)), tau, 0.0, rtol,
+                    _antimode_start(nu, lam))[0]
         anti = t * (t / lam)
     else:
         concave = (nu - 2.0) * (1.0 + lam / nu)

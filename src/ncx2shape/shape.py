@@ -19,7 +19,9 @@ Each hands the solver f, f' and f'' from one Bessel ratio and its
 derivative r', through the kernels in :mod:`ncx2shape.density`.  Every
 solver finds a single sign change the same way: :func:`_bisect` narrows a
 bracket by Halley steps, which it forms itself, kept inside it, falling
-back to halving, until ``hi - lo <= max(xtol, rtol * hi)``.  No
+back to halving, until ``hi - lo <= max(xtol, rtol * hi)``.  Each solve
+starts near its root (tau from a stored fit, :func:`_tau_start`), and a
+start within a quarter of the stop width ends it in two evaluations.  No
 solver searches for a bracket, and no end is evaluated: each end is a
 theorem.  Only the nu >= 2 mode, for nu within ~1e-6 of 2, checks its
 clamped lower end (see :mod:`ncx2shape.modes`).
@@ -45,6 +47,29 @@ _INFLECTION_REL_TOL = 1e-10
 
 _TAU_MAX = 2.0 * math.sqrt(3.0)  # upper end of the tau bracket
 
+# tau(nu) / (2 (12 nu)^(1/6) (2 - nu)^(1/4)), the factor being tau's endpoint
+# laws, as polynomials of degree 16 in w, highest power first: w = nu^(1/3)
+# below nu = 1 and w = (2 - nu)^(1/2) from nu = 1.  Each is the Chebyshev
+# interpolant on w in [0, 1] of the 50-digit mpmath tau (mpmath.chebyfit, 17
+# nodes), rounded to double.  With the factor, :func:`_tau_start` is within
+# 5e-10 relative of tau below nu = 1 and within 4e-12 from there (tested
+# against mpmath): a quarter of the stop width at tol 1e-8, and at 1e-10
+# too from nu = 1.
+_TAU_LOW = (
+    -0.8782265873742923, 6.304418188233916, -20.59987207864523, 40.45293088999707,
+    -53.15307295311315, 49.25870716282873, -33.087864299705075, 16.304700101152868,
+    -5.8962955913331445, 1.5375948908743449, -0.2686162634184216, -0.006767259650972138,
+    -0.0367729732838814, 0.16950737934235488, -0.19283432043622306, 4.473857152533975e-08,
+    0.8408964151762105,
+)
+_TAU_HIGH = (
+    0.011204149269906085, -0.07843732175310845, 0.251492723391319, -0.4863045365862413,
+    0.6309589053680895, -0.5784870699631026, 0.38504985226652255, -0.18789557976450935,
+    0.0673209028779522, -0.016782284690277656, 0.0025025439296243613, 0.002001860708831447,
+    -0.003541487860039143, 0.007221847601876388, -0.042932987905234164, 0.19626530666342923,
+    0.5887959215011123,
+)
+
 
 @dataclass(frozen=True)
 class CriticalLambda:
@@ -52,9 +77,10 @@ class CriticalLambda:
 
     ``tau`` is the zero of g_nu (the inflection point is ``tau**2 / lam``);
     ``iterations`` counts the evaluations of g_nu, one Bessel ratio each,
-    that solved tau to relative width ``tol`` (Halley steps, halvings and
-    the closing pair).  ``lambda_nu`` reuses the ratio of the evaluated
-    point nearest ``tau`` and costs no further evaluation.
+    that solved tau to relative width ``tol`` (the stored start, Halley
+    steps, halvings and the closing pair: 2 at the default ``tol``).
+    ``lambda_nu`` reuses the ratio of the evaluated point nearest ``tau``
+    and costs no further evaluation.
     """
 
     nu: float
@@ -103,6 +129,23 @@ def _check_tol(tol: float) -> None:
         raise DomainError(f"tolerance must be finite and > 0, got {tol}")
 
 
+def _horner(coeffs: tuple[float, ...], w: float) -> float:
+    """The polynomial with ``coeffs`` (highest power first) at ``w``."""
+    total = 0.0
+    for c in coeffs:
+        total = total * w + c
+    return total
+
+
+def _tau_start(nu: float) -> float:
+    """tau(nu) from the stored fit, for 0 < nu < 2."""
+    if nu < 1.0:
+        fitted = _horner(_TAU_LOW, nu ** (1.0 / 3.0))
+    else:
+        fitted = _horner(_TAU_HIGH, math.sqrt(2.0 - nu))
+    return 2.0 * (12.0 * nu) ** (1.0 / 6.0) * (2.0 - nu) ** 0.25 * fitted
+
+
 def _bisect(f, lo: float, hi: float, xtol: float, rtol: float,
             x: float | None = None) -> tuple[float, int]:
     """A point of the final bracket around the sign change of ``f``, and the evaluation count.
@@ -129,15 +172,18 @@ def _bisect(f, lo: float, hi: float, xtol: float, rtol: float,
     splits the bracket.
     """
     evals = 0
-    last = hi - lo
+    half = 0.5 * (hi - lo)  # half the last step, and of the bracket at first
+    width = rtol * hi
+    if width < xtol:
+        width = xtol
     # Evaluations other than halvings may number as many as halving alone needs.
-    spare = math.log2((hi - lo) / max(xtol, rtol * hi))
+    spare = math.log2((hi - lo) / width)
     if x is None:
         x = 0.5 * (lo + hi)
     else:
         spare -= 1
     closing = math.nan
-    while hi - lo > max(xtol, rtol * hi):
+    while hi - lo > width:
         closing = math.nan
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
@@ -152,11 +198,15 @@ def _bisect(f, lo: float, hi: float, xtol: float, rtol: float,
         else:
             hi = x
         new = x - value / slope if slope else math.nan
-        if spare > 0.0 and lo <= new <= hi and abs(new - x) <= 0.5 * last:
+        step = new - x
+        if spare > 0.0 and lo <= new <= hi and -half <= step <= half:
             spare -= 1
-            h = 0.25 * max(xtol, rtol * new)
-            if abs(new - x) < 2.0 * h:
-                beyond = math.copysign(h, new - x)
+            h = rtol * new
+            if h < xtol:
+                h = xtol
+            h *= 0.25
+            if -2.0 * h < step < 2.0 * h:
+                beyond = math.copysign(h, step)
                 for y in (new + beyond, new - beyond):
                     if lo < y < hi:
                         evals += 1
@@ -169,10 +219,15 @@ def _bisect(f, lo: float, hi: float, xtol: float, rtol: float,
                             break
                 closing = new
                 new = 0.5 * (lo + hi)
+                step = new - x
         else:
             new = 0.5 * (lo + hi)
-        last = abs(new - x)
+            step = new - x
+        half = 0.5 * step if step >= 0.0 else -0.5 * step
         x = new
+        width = rtol * hi
+        if width < xtol:
+            width = xtol
     return (closing if lo <= closing <= hi else 0.5 * (lo + hi)), evals
 
 
@@ -189,9 +244,9 @@ def _critical_lambda_cached(nu: float, tol: float) -> CriticalLambda:
                 0.5 * (1.0 - r * r) - 2.0 * t * r * dr - 0.5 * t * t * (dr * dr + r * d2r)
                 - 0.25 * nu * (2.0 * dr + t * d2r))
 
-    # tau ~ 2 (12 nu)^(1/6) as nu -> 0 and ~ 2 (2 - nu)^(1/4) as nu -> 2; the
-    # smaller of the two is within 15% of tau on all of (0, 2).
-    start = 2.0 * min((12.0 * nu) ** (1.0 / 6.0), (2.0 - nu) ** 0.25)
+    # The stored fit starts within a quarter of the stop width at tol 1e-8, so
+    # the solve ends on the start and one point of the closing pair.
+    start = _tau_start(nu)
     # Neither end is evaluated.  g_nu(0+) = (2 - nu)/2 > 0.  At t = 2 sqrt 3,
     # g_nu = 4 - nu/2 - 3 r^2 - (sqrt 3 / 2) nu r, which falls as r > 0 grows.
     # With mu = nu/2, I_{mu-1} - I_{mu+1} = (2 mu / t) I_mu (DLMF 10.29.1)
@@ -222,9 +277,11 @@ def critical_lambda(nu: float, tol: float = DEFAULT_TOL) -> CriticalLambda:
     the square of that distance.  Results are kept per
     (nu, tol) in a bounded, thread-safe, semantically invisible cache.
 
-    Values near the endpoints converge slowly in nu (the critical value
-    approaches 4 as nu drops to 0 and 2 as nu rises to 2) but are still
-    computed directly, with no asymptotic shortcut.
+    The solve starts from a stored fit of tau(nu) built on its endpoint laws
+    (tau ~ 2 (12 nu)^(1/6) as nu -> 0 and 2 (2 - nu)^(1/4) as nu -> 2), but
+    the fit is only a start: tau is always solved, and lambda_nu computed,
+    from g_nu itself.  The critical value approaches 4 as nu drops to 0 and
+    2 as nu rises to 2.
     """
     if math.isnan(nu) or not 0.0 < nu < 2.0:
         raise DomainError(f"critical noncentrality is defined for 0 < nu < 2, got {nu}")

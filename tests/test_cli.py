@@ -121,6 +121,14 @@ class TestEval:
         code, out, err = run_cli(capsys, "eval", "--nu", "3", "--lambda", "1e-300", "--x", "1e-30")
         assert code == 2 and out == "" and "lam * x underflows" in err
 
+    def test_overflowing_bessel_argument_exits_2(self, capsys):
+        # lam * x = 1e600 overflows, so t = sqrt(lam x) would be infinite; this
+        # used to exit 3 on a bare ZeroDivisionError.  At 1e308 the row answers.
+        code, out, err = run_cli(capsys, "eval", "--nu", "2", "--lambda", "1e300", "--x", "1e300")
+        assert code == 2 and out == "" and "lam * x must be finite" in err
+        row = run_json(capsys, "eval", "--nu", "2", "--lambda", "1e300", "--x", "1e8")["payload"]["rows"][0]
+        assert row["log_density"] == -5e299 and row["d1"] == 5e145
+
 
 class TestClassify:
     def test_bimodal(self, capsys):

@@ -6,6 +6,7 @@ below is a genuine cross-check, not a tautology.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -206,6 +207,23 @@ class TestLogDensityDerivatives:
             log_density_d3(p, 1e-110)
         # At nu = 2, lam = 0 both vanish identically.
         assert log_density_d2(Params(nu=2, lam=0), 1e-170) == 0.0
+
+    @pytest.mark.parametrize("f", [log_density, log_density_d1, log_density_d2, log_density_d3])
+    def test_bessel_argument_limits(self, f):
+        # t = sqrt(lam x) must be positive and finite.  lam * x overflows just
+        # above the largest double, where a bare ZeroDivisionError used to
+        # surface, and underflows to 0 below the smallest subnormal.
+        big, tiny = Params(nu=2, lam=1e300), Params(nu=3, lam=1e-300)
+        x_max = sys.float_info.max / big.lam
+        assert big.lam * x_max < math.inf
+        assert math.isfinite(f(big, x_max))
+        with pytest.raises(DomainError, match=r"lam \* x must be finite"):
+            f(big, 2.0 * x_max)
+        with pytest.raises(DomainError, match=r"lam \* x must be finite"):
+            f(big, 1e300)
+        assert math.isfinite(f(tiny, 1e-23))  # lam * x = 1e-323, subnormal
+        with pytest.raises(DomainError, match=r"lam \* x underflows"):
+            f(tiny, 1e-30)
 
     def test_d3_central_closed_form(self):
         # third derivative of (nu/2 - 1) log x - x/2 is (nu - 2)/x^3

@@ -6,6 +6,7 @@ with mpmath.findroot on the closed-form slope at 40 digits.
 
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -440,7 +441,40 @@ class TestRootsAgainstMpmath:
             p = Params(nu, lam)
             classify(p)
             mode_report(p)
-        assert len(calls) == 70
+        assert len(calls) == 60
+
+    def test_evaluations_per_root(self, monkeypatch):
+        # Mean evaluations of f per root over a fixed list, caches cold: tau
+        # at tol 1e-8 from its stored fit, then the modes and the antimode at
+        # 1e-10.  Starting tau within 15% and the antimode at its bracket's
+        # midpoint took 4.0 and 4.6528 here.
+        draws = _evaluation_draws()
+        evals = {"tau": [], "mode_sub_two": [], "antimode": [], "mode_above_two": []}
+        solve = shape_module._bisect
+        order = []
+
+        def counted(*args):
+            root, n = solve(*args)
+            order.append(n)
+            return root, n
+
+        monkeypatch.setattr(shape_module, "_bisect", counted)
+        monkeypatch.setattr(ncx2shape.modes, "_bisect", counted)
+        shape_module._critical_lambda_cached.cache_clear()
+        for nu, lam in draws:
+            order.clear()
+            mode_report(Params(nu, lam))
+            if nu < 2.0:
+                tau, mode, anti = order
+                evals["tau"].append(tau)
+                evals["mode_sub_two"].append(mode)
+                evals["antimode"].append(anti)
+            else:
+                evals["mode_above_two"].append(*order)
+        shape_module._critical_lambda_cached.cache_clear()
+        means = {k: round(sum(v) / len(v), 4) for k, v in evals.items()}
+        assert len(draws) == 120
+        assert means == {"tau": 2.0, "mode_sub_two": 4.0, "antimode": 3.6667, "mode_above_two": 3.4583}
 
     @pytest.mark.parametrize("nu, lam", [(4, 5), (2.5, 0.1), (3, 1e-3), (10, 100), (60, 500),
                                          (100, 1000), (2.001, 7)])
@@ -467,6 +501,25 @@ class TestRootsAgainstMpmath:
         # of h; the lower-end check raises rather than return a wrong root.
         with pytest.raises(InternalConsistencyError, match="outside its bounds"):
             mode_report(Params(2.0, 2.0000000000000004))
+
+
+def _evaluation_draws():
+    """A fixed list of (nu, lam), mixed like the modes-sweep benchmark.
+
+    Per block of ten: six bimodal sub-two draws (nu on [0.02, 1.98], four with
+    lam on [0.5, 8] and two log-uniform on [8, 1e4]; a draw below lambda_nu
+    is moved above it) and four with nu on (2, 100], lam log-uniform on [1e-2, 1e4].
+    """
+    rng = random.Random(31)
+    out = []
+    for _ in range(12):
+        for k in range(6):
+            nu = 0.02 + 1.96 * rng.random()
+            lam = 0.5 + 7.5 * rng.random() if k < 4 else 8.0 * 1250.0 ** rng.random()
+            out.append((nu, max(lam, critical_lambda(nu).lambda_nu + 0.5)))
+        for _ in range(4):
+            out.append((2.0 + 98.0 * rng.random(), 1e-2 * 1e6 ** rng.random()))
+    return out
 
 
 CALL_COUNT_CASES = [(1, 5), (4, 5), (0.5, 30), (1.5, 2), (2, 2), (2, 5), (2.0000001, 5), (3, 0),

@@ -13,7 +13,10 @@ from concurrent.futures import ThreadPoolExecutor
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+import ncx2shape.modes as modes_module
 import ncx2shape.shape as shape_module
 from ncx2shape import (
     DomainError,
@@ -29,8 +32,8 @@ from ncx2shape import (
     log_density_d3,
     mode_report,
 )
-from ncx2shape.modes import _slope_in_t
-from ncx2shape.shape import _bisect, _critical_lambda_cached
+from ncx2shape.modes import _slope_in_t, _t_inf
+from ncx2shape.shape import _bisect, _critical_lambda_cached, _tau_start
 
 # nu -> independently computed critical noncentrality
 REFERENCE_ROOTS = {
@@ -83,6 +86,43 @@ def _mp_lambda_nu(nu):
 
         tau = mpmath.findroot(g, mpmath.mpf(critical_lambda(nu).tau))
         return float(tau * tau / (tau * ratio(tau) + nu_mp - 2))
+
+
+def _mp_ratio(nu, t):
+    return mpmath.besseli(nu / 2, t) / mpmath.besseli(nu / 2 - 1, t)
+
+
+def _mp_tau(nu):
+    """The 50-digit zero of g_nu, at the double nu, bracketed by tau's endpoint laws within 20%."""
+    with mpmath.workdps(50):
+        nu = mpmath.mpf(nu)
+
+        def g(t):
+            r = _mp_ratio(nu, t)
+            return (2 - nu) / 2 + t * t * (1 - r * r) / 4 - nu * t * r / 4
+
+        guess = 2 * min((12 * nu) ** (mpmath.mpf(1) / 6), (2 - nu) ** mpmath.mpf(0.25))
+        return mpmath.findroot(g, (0.8 * guess, 1.2 * guess), solver="anderson")
+
+
+def _mp_t_inf(nu):
+    """The 50-digit root of t r_{nu/2}(t) = 2 - nu, at the double nu."""
+    with mpmath.workdps(50):
+        nu = mpmath.mpf(nu)
+        guess = nu ** mpmath.mpf(0.25) * mpmath.sqrt(4 - 2 * nu)
+        return mpmath.findroot(lambda t: t * _mp_ratio(nu, t) - (2 - nu), (0.5 * guess, 2 * guess),
+                               solver="anderson")
+
+
+def _mp_root_x(nu, lam, bracket):
+    """The zero of l' in the x bracket, at the working precision."""
+    nu, lam = mpmath.mpf(nu), mpmath.mpf(lam)
+
+    def slope(y):
+        t = mpmath.sqrt(lam * y)
+        return -0.5 + (nu - 2) / (2 * y) + mpmath.sqrt(lam / y) / 2 * _mp_ratio(nu, t)
+
+    return mpmath.findroot(slope, tuple(map(mpmath.mpf, bracket)), solver="anderson")
 
 
 def big_f(nu, t):
@@ -258,6 +298,74 @@ class TestCriticalLambda:
             critical_lambda(1.0, tol=0.0)
 
 
+# nu over both pieces of each stored start: log-spaced towards 0 and towards
+# 2 from 1e-12, evenly between, and both sides of the seam at nu = 1.
+START_NUS = sorted(set(map(float, np.concatenate([
+    np.geomspace(1e-12, 0.5, 18), np.linspace(0.05, 1.95, 20), 2.0 - np.geomspace(1e-12, 0.5, 18),
+    [math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0)]]))))
+
+
+class TestStoredStarts:
+    """The stored fits that start the tau and antimode solves.
+
+    Each table is a polynomial in w, highest power first: the Chebyshev
+    interpolant on w in [0, 1], one node per coefficient, of the 50-digit
+    mpmath root over its normalising factor (mpmath.chebyfit), each
+    coefficient rounded to double.  tau / (2 (12 nu)^(1/6) (2 - nu)^(1/4))
+    takes degree 16 in w = nu^(1/3) below nu = 1 and in w = (2 - nu)^(1/2)
+    from there; t_inf / (nu^(1/4) (2 - nu)^(1/2)) takes degree 12 in
+    w = nu^(1/2) and degree 16 in w = (2 - nu)^(1/2).
+    """
+
+    PIECES = {
+        "tau_low": (shape_module, "_TAU_LOW", _mp_tau, lambda w: w ** 3,
+                    lambda nu: 2 * (12 * nu) ** (mpmath.mpf(1) / 6) * (2 - nu) ** mpmath.mpf(0.25)),
+        "tau_high": (shape_module, "_TAU_HIGH", _mp_tau, lambda w: 2 - w ** 2,
+                     lambda nu: 2 * (12 * nu) ** (mpmath.mpf(1) / 6) * (2 - nu) ** mpmath.mpf(0.25)),
+        "t_inf_low": (modes_module, "_T_INF_LOW", _mp_t_inf, lambda w: w ** 2,
+                      lambda nu: nu ** mpmath.mpf(0.25) * mpmath.sqrt(2 - nu)),
+        "t_inf_high": (modes_module, "_T_INF_HIGH", _mp_t_inf, lambda w: 2 - w ** 2,
+                       lambda nu: nu ** mpmath.mpf(0.25) * mpmath.sqrt(2 - nu)),
+    }
+
+    @pytest.mark.parametrize("piece", sorted(PIECES))
+    def test_tables_are_the_chebyshev_interpolants(self, piece):
+        module, name, root, nu_of, factor = self.PIECES[piece]
+        table = getattr(module, name)
+        with mpmath.workdps(50):
+            poly = mpmath.chebyfit(lambda w: root(nu_of(w)) / factor(nu_of(w)), [0, 1], len(table))
+        assert tuple(float(c) for c in poly) == table
+
+    def test_tau_start_against_mpmath(self):
+        # Within 5e-10 relative below nu = 1 and 4e-12 from there: a quarter
+        # of the stop width at tol 1e-8, and from nu = 1 at 1e-10 too.
+        assert len(START_NUS) >= 40
+        for nu in START_NUS:
+            ref = _mp_tau(nu)
+            assert abs((_tau_start(nu) - ref) / ref) <= (5e-10 if nu < 1.0 else 4e-12), nu
+
+    def test_t_inf_against_mpmath(self):
+        for nu in START_NUS:
+            ref = _mp_t_inf(nu)
+            assert abs((_t_inf(nu) - ref) / ref) <= 1e-11, nu
+
+    @pytest.mark.parametrize("nu", [0.05, 0.5, 1.0, 1.5, 1.95])
+    def test_antimode_start_order(self, nu):
+        # The quadratic in d drops terms of order d^3, and d ~ t_inf / lam: from
+        # lam = 100 the start's relative error falls like lam^-3, to the
+        # fit's 1e-11 by lam = 1e4.
+        errors = []
+        for lam in (100.0, 1000.0, 1e4):
+            start = modes_module._antimode_start(nu, lam)
+            with mpmath.workdps(40):
+                x = start * start / lam
+                root = mpmath.sqrt(lam * _mp_root_x(nu, lam, (x * (1 - 1e-4), x * (1 + 1e-4))))
+            errors.append(float(abs(start - root) / root))
+        assert errors[0] < 1e-6
+        assert errors[1] < 2e-3 * errors[0]
+        assert errors[2] < 2e-11
+
+
 class TestClassify:
     def test_log_concave_only(self):
         rep = classify(Params(nu=3, lam=0))
@@ -368,6 +476,64 @@ def _plain_bisection(f, lo, hi, xtol, rtol):
     return 0.5 * (lo + hi), halvings
 
 
+def _assert_certified_and_bounded(f, lo, hi, xtol, rtol, root, evals, seen):
+    """The checks on one ``_bisect(f, lo, hi, xtol, rtol, ...)`` that evaluated ``seen`` (x, f(x))."""
+    assert evals == len(seen)
+    # The final bracket: the highest point with a positive value and the
+    # lowest with a non-positive one; the answer lies inside it, within
+    # half the stop width of either end.
+    final_lo = max([lo] + [x for x, v in seen if v > 0.0])
+    final_hi = min([hi] + [x for x, v in seen if not v > 0.0])
+    assert final_lo < final_hi
+    assert final_lo <= root <= final_hi
+    width = max(xtol, rtol * final_hi)
+    assert final_hi - final_lo <= width
+    assert max(root - final_lo, final_hi - root) <= 0.5 * width
+    halvings = _plain_bisection(f, lo, hi, xtol, rtol)[1]
+    assert evals <= 2 * halvings + 3
+
+
+# Starts to solve from, given the bracket and the production start x.
+STARTS = {
+    "production": lambda lo, hi, x: x,
+    "midpoint": lambda lo, hi, x: None,
+    "nan": lambda lo, hi, x: math.nan,
+    "lower_end": lambda lo, hi, x: lo,
+    "upper_end": lambda lo, hi, x: hi,
+    "outside": lambda lo, hi, x: hi + (hi - lo),
+}
+
+
+def _solves_from(start, p, tol):
+    """mode_report(p, tol) from cold caches, every root solved from ``STARTS[start]``.
+
+    Returns the report and, per solve (tau first), the production slope and
+    bracket with what the solve returned and evaluated.
+    """
+    solves = []
+
+    def bisect(f, lo, hi, xtol, rtol, x=None):
+        seen = []
+
+        def recorded(y):
+            values = f(y)
+            seen.append((y, values[0]))
+            return values
+
+        root, evals = _bisect(recorded, lo, hi, xtol, rtol, STARTS[start](lo, hi, x))
+        solves.append((f, lo, hi, xtol, rtol, root, evals, seen))
+        return root, evals
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(shape_module, "_bisect", bisect)
+        patch.setattr(modes_module, "_bisect", bisect)
+        _critical_lambda_cached.cache_clear()
+        try:
+            return mode_report(p, tol), solves
+        finally:
+            _critical_lambda_cached.cache_clear()
+
+
 def _g_and_slope(nu):
     """g_nu, its derivative in t and a second derivative of 0, so plain Newton steps, from one ratio."""
     def f(t):
@@ -421,19 +587,7 @@ class TestRootFinder:
             return value, distort(slope), curve
 
         root, evals = _bisect(recorded, lo, hi, xtol, rtol, start)
-        assert evals == len(seen)
-        # The final bracket: the highest point with a positive value and the
-        # lowest with a non-positive one; the answer lies inside it, within
-        # half the stop width of either end.
-        final_lo = max([lo] + [x for x, v in seen if v > 0.0])
-        final_hi = min([hi] + [x for x, v in seen if not v > 0.0])
-        assert final_lo < final_hi
-        assert final_lo <= root <= final_hi
-        width = max(xtol, rtol * final_hi)
-        assert final_hi - final_lo <= width
-        assert max(root - final_lo, final_hi - root) <= 0.5 * width
-        halvings = _plain_bisection(f, lo, hi, xtol, rtol)[1]
-        assert evals <= 2 * halvings + 3
+        _assert_certified_and_bounded(f, lo, hi, xtol, rtol, root, evals, seen)
 
     @pytest.mark.parametrize("problem", sorted(ROOT_PROBLEMS))
     def test_nan_derivative_is_plain_bisection(self, problem):
@@ -457,6 +611,37 @@ class TestRootFinder:
     @pytest.mark.parametrize("nu", [1e-4, 0.01, 0.25, 0.5, 1.0, 1.5, 1.9, 1.99, 2.0 - 1e-4])
     def test_tau_solve_step_counts(self, nu):
         # Plain bisection takes 27-29 halvings at 1e-8 and 34-36 at 1e-10.
-        # Halley steps take at most 4 and 5 over 2000 nu in (0.001, 1.999).
-        assert critical_lambda(nu, 1e-8).iterations <= 4
-        assert critical_lambda(nu, 1e-10).iterations <= 5
+        # From the stored start, within a quarter of the stop width at 1e-8,
+        # the solve is the start and one point of the closing pair; at 1e-10
+        # one Halley step comes first below nu = 1.
+        assert critical_lambda(nu, 1e-8).iterations <= 2
+        assert critical_lambda(nu, 1e-10).iterations <= 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(nu=st.floats(min_value=0.01, max_value=100.0), u=st.floats(min_value=-4.0, max_value=4.0))
+    @example(nu=1.0, u=0.0)
+    @example(nu=0.02, u=-4.0)
+    @example(nu=1.98, u=4.0)
+    @example(nu=50.0, u=-2.0)
+    def test_start_is_only_a_start(self, nu, u):
+        # Every root of mode_report (tau, the mode, the antimode), solved on
+        # the production slope and bracket from the production start, the
+        # midpoint, NaN, either end or a point outside the bracket, is
+        # certified and bounded, and all agree within the stop width.  Below
+        # nu = 2, lam = lambda_nu (1 + 10^u) is bimodal; above it lam = 10^u.
+        assume(abs(nu - 2.0) > 1e-3)
+        lam = critical_lambda(nu).lambda_nu * (1.0 + 10.0 ** u) if nu < 2.0 else 10.0 ** u
+        tol = 1e-10
+        runs = {start: _solves_from(start, Params(nu, lam), tol) for start in STARTS}
+        reference = runs["production"][1]
+        assert len(reference) == (3 if nu < 2.0 else 1)
+        for report, solves in runs.values():
+            assert len(solves) == len(reference)
+            for (f, lo, hi, xtol, rtol, root, evals, seen), ref in zip(solves, reference):
+                _assert_certified_and_bounded(f, lo, hi, xtol, rtol, root, evals, seen)
+                assert abs(root - ref[5]) <= max(xtol, rtol * max(root, ref[5]))
+            for x, ref_x in ((report.interior_mode, runs["production"][0].interior_mode),
+                             (report.antimode, runs["production"][0].antimode)):
+                assert (x is None) == (ref_x is None)
+                if x is not None:
+                    assert abs(x - ref_x) <= tol * ref_x
