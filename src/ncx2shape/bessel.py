@@ -1,16 +1,15 @@
 """Modified Bessel functions of the first kind, I_mu, for real order mu > -1.
 
-Five building blocks cover the whole argument range:
+Four building blocks cover the whole argument range, up to the largest
+double:
 
 * the ascending power series, whose terms are all positive (no cancellation);
   the series of I_mu and I_{mu-1} are summed together in one loop where both
   are needed,
-* an exponentially scaled large-argument (Hankel) expansion for
-  e^{-x} I_mu(x), again summed for I_mu and I_{mu-1} in one loop where both
-  are needed; it is right only above about x = mu^2 / 2 (DLMF 10.40),
-* the uniform (Debye) expansion of log I_mu(x) in large order (DLMF 10.41,
-  Olver 1954), which covers 30 + 2|mu| <= x < mu^2 / 2, a band that exists
-  only for mu > 10,
+* the uniform (Debye) expansion of log I_mu(x) (DLMF 10.41, Olver 1954),
+  from x = 30 + 2|mu| on; it depends on the order only through mu^2, and
+  for orders in (-1, 0) I_{-v} - I_v = (2/pi) sin(v pi) K_v is below
+  e^{-60} of I_v there, so one kernel serves every order,
 * Gauss's continued fraction for the ratio r_mu(x) = I_mu(x) / I_{mu-1}(x),
   from the three-term recurrence, whose level count grows with x,
 * Perron's continued fraction for the same ratio (Gautschi and Slavik,
@@ -34,11 +33,10 @@ import math
 
 from .errors import ConvergenceError, DomainError
 
-# Convergence knobs.  The series and asymptotic sums run to machine noise;
-# the continued fraction stops at CF_TOL per the Lentz criterion.
+# Convergence knobs.  The series and the uniform expansion run to machine
+# noise; the continued fractions stop at CF_TOL per the Lentz criterion.
 _SERIES_EPS = 1e-17
 _SERIES_MAX_TERMS = 100_000
-_ASYM_EPS = 1e-18
 CF_TOL = 1e-15
 CF_MAX_ITER = 10_000
 
@@ -56,9 +54,10 @@ def _check_order(mu: float) -> None:
         raise DomainError(f"Bessel order must be finite and > -1, got {mu}")
 
 
-def _check_positive(x: float, name: str = "x") -> None:
-    if math.isnan(x) or x <= 0.0:
-        raise DomainError(f"{name} must be > 0, got {x}")
+def _check_positive(x: float) -> None:
+    # False for NaN as well as for x <= 0 and x = inf.
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"x must be finite and > 0, got {x}")
 
 
 def _series_crossover(mu: float) -> float:
@@ -122,68 +121,7 @@ def _i_series(mu: float, x: float) -> float:
     return math.exp(_log_series_lead(mu, x)) * _series_sum(mu, x)
 
 
-def _i_scaled_asymptotic(mu: float, x: float) -> float:
-    """Large-argument value of e^{-x} I_mu(x).
-
-    The expansion is asymptotic; terms are summed while they shrink and the
-    first growing term is dropped.  At the crossover argument the smallest
-    term is already far below double precision for the orders in scope.
-    """
-    four_mu_sq = 4.0 * mu * mu
-    c = 1.0
-    total = c
-    prev = abs(c)
-    for k in range(1, 1000):
-        c *= -(four_mu_sq - (2.0 * k - 1.0) ** 2) / (8.0 * k * x)
-        if abs(c) > prev:
-            break
-        prev = abs(c)
-        total += c
-        if abs(c) < _ASYM_EPS * abs(total):
-            break
-    return total / math.sqrt(2.0 * math.pi * x)
-
-
-def _asymptotic_pair(mu: float, x: float) -> tuple[float, float]:
-    """(e^{-x} I_mu(x), e^{-x} I_{mu-1}(x)) as two :func:`_i_scaled_asymptotic` calls, in one loop.
-
-    Each sum runs on its own stop rules until both have stopped, and the
-    shared factors (2k - 1)^2 and 8 k x are the same expressions, so both
-    values are bit-identical to the single calls.
-    """
-    four_mu_sq = 4.0 * mu * mu
-    lower = mu - 1.0
-    four_lower_sq = 4.0 * lower * lower
-    c = c_lower = 1.0
-    total = total_lower = 1.0
-    prev = prev_lower = 1.0
-    open_upper = open_lower = True
-    for k in range(1, 1000):
-        odd_sq = (2.0 * k - 1.0) ** 2
-        scale = 8.0 * k * x
-        if open_upper:
-            c *= -(four_mu_sq - odd_sq) / scale
-            if abs(c) > prev:
-                open_upper = False
-            else:
-                prev = abs(c)
-                total += c
-                open_upper = abs(c) >= _ASYM_EPS * abs(total)
-        if open_lower:
-            c_lower *= -(four_lower_sq - odd_sq) / scale
-            if abs(c_lower) > prev_lower:
-                open_lower = False
-            else:
-                prev_lower = abs(c_lower)
-                total_lower += c_lower
-                open_lower = abs(c_lower) >= _ASYM_EPS * abs(total_lower)
-        if not (open_upper or open_lower):
-            break
-    root = math.sqrt(2.0 * math.pi * x)
-    return total / root, total_lower / root
-
-
-# U_1 .. U_9 of the uniform expansion, from the recurrence DLMF 10.41.10.
+# U_1 .. U_15 of the uniform expansion, from the recurrence DLMF 10.41.10.
 # U_k(p) is p^k times a polynomial of degree k in p^2; row k - 1 holds that
 # polynomial's coefficients, highest power first, i.e. the coefficients of
 # p^(3k), p^(3k-2), ..., p^k in U_k(p).  U_0 = 1.
@@ -204,13 +142,35 @@ _DEBYE_U = (
     (-242919.18790055133, 1311763.6146629772, -2998015.9185381066, 3763271.297656404,
      -2813563.226586534, 1268365.2733216248, -331645.1724845636, 45218.76898136273,
      -2499.8304818112097, 24.380529699556064),
+    (3284469.853072038, -19706819.118432228, 50952602.49266464, -74105148.21153265,
+     66344512.27472903, -37567176.66076335, 13288767.166421818, -2785618.1280864547,
+     308186.4046126624, -13886.08975371704, 110.01714026924674),
+    (-49329253.66450996, 325573074.18576574, -939462359.6815784, 1553596899.57058,
+     -1621080552.1083372, 1106842816.8230145, -495889784.2750303, 142062907.7975331,
+     -24474062.72573873, 2243768.1779224495, -84005.43360302408, 551.3358961220206),
+    (814789096.1183121, -5866481492.051847, 18688207509.295826, -34632043388.158775,
+     41280185579.753975, -33026599749.800724, 17954213731.1556, -6563293792.619285,
+     1559279864.8792574, -225105661.88941526, 17395107.553978164, -549842.3275722887,
+     3038.090510922384),
+    (-14679261247.695616, 114498237732.0258, -399096175224.4665, 819218669548.5773,
+     -1098375156081.2233, 1008158106865.3821, -645364869245.3765, 287900649906.1506,
+     -87867072178.02327, 17634730606.83497, -2167164983.223795, 143157876.71888897,
+     -3871833.442572613, 18257.755474293175),
+    (286464035717.679, -2406297900028.504, 9109341185239.898, -20516899410934.438,
+     30565125519935.32, -31667088584785.16, 23348364044581.84, -12320491305598.287,
+     4612725780849.132, -1196552880196.1816, 205914503232.41, -21822927757.529224,
+     1247009293.5127103, -29188388.122220814, 118838.42625678325),
+    (-6019723417234.006, 54177510755106.05, -221349638702525.2, 542739664987659.75,
+     -889496939881026.5, 1026955196082762.5, -857461032982895.0, 523054882578444.6,
+     -232604831188939.94, 74373122908679.14, -16634824724892.48, 2485000928034.0854,
+     -229619372968.24646, 11465754899.448236, -234557963.52225152, 832859.3040162893),
 )
 _HALF_ULP_OF_ONE = 2.0 ** -53
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
 def _log_i_debye(mu: float, x: float) -> float:
-    """log I_mu(x) by the uniform expansion in large order, for mu > 10 and x >= 30 + 2 mu.
+    """log I_mu(x) by the uniform expansion, for mu >= 0 and 30 + 2 mu <= x < inf.
 
     With s = hypot(mu, x) and p = mu / s (DLMF 10.41.3 at z = x / mu),
 
@@ -218,22 +178,27 @@ def _log_i_debye(mu: float, x: float) -> float:
                       + log sum_k U_k(p) / mu^k.
 
     As p / mu = 1 / s, the k-th term is the polynomial of row k - 1 of
-    _DEBYE_U at p^2, by Horner, divided by s^k.  There x / mu > 2, so
-    p^2 < 1/5 and the sum lies just above 1; it stops at the first term
-    below half an ulp of 1, or after U_9.
+    _DEBYE_U at p^2, by Horner, divided by s^k; at mu = 0 that is the
+    large-argument expansion of I_0.  There x > 2 mu, so p^2 < 1/5, and
+    s >= 30, so the sum lies just above 1.  On p^2 <= 1/5 no row's
+    polynomial exceeds its value at 0, its last coefficient, in magnitude,
+    and that bound over s^k falls by more than a factor 4 from row to row
+    (both checked in the tests).  So the sum stops at the first row whose
+    bound over s^k is below half an ulp of 1, or after U_15.  A term itself
+    is no stop test: each row has roots in p^2 < 1/5, where its term
+    vanishes while the next does not.
     """
     s = math.hypot(mu, x)
     q = (mu / s) ** 2
     total = scale = 1.0
     for row in _DEBYE_U:
         scale /= s
+        if abs(row[-1]) * scale < _HALF_ULP_OF_ONE:
+            break
         poly = 0.0
         for c in row:
             poly = poly * q + c
-        term = poly * scale
-        total += term
-        if abs(term) < _HALF_ULP_OF_ONE:
-            break
+        total += poly * scale
     return s + mu * math.log(x / (mu + s)) - 0.5 * (_LOG_2PI + math.log(s)) + math.log(total)
 
 
@@ -245,7 +210,7 @@ def bessel_i(mu: float, x: float) -> float:
     mu : float
         Order, mu > -1.
     x : float
-        Argument, x >= 0.
+        Argument, finite and x >= 0.
 
     Returns
     -------
@@ -255,14 +220,15 @@ def bessel_i(mu: float, x: float) -> float:
     Raises
     ------
     DomainError
-        If x < 0 or mu <= -1.
+        If x < 0, x is not finite, or mu <= -1.
     OverflowError
         If the result exceeds double-precision range (roughly x > 709);
         use :func:`log_bessel_i` there.
     """
     _check_order(mu)
-    if math.isnan(x) or x < 0.0:
-        raise DomainError(f"argument must be >= 0, got {x}")
+    # False for NaN as well as for x < 0 and x = inf.
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"argument must be finite and >= 0, got {x}")
     if x == 0.0:
         if mu == 0.0:
             return 1.0
@@ -278,23 +244,19 @@ def bessel_i(mu: float, x: float) -> float:
 
 
 def log_bessel_i(mu: float, x: float) -> float:
-    """log I_mu(x) for x > 0, stable up to at least x = 1e8.
+    """log I_mu(x) for finite x > 0, finite up to the largest double.
 
     Below the series crossover 30 + 2|mu| this is the log of the series'
     first term, mu log(x/2) - lgamma(mu + 1), plus the log of the series
-    summed relative to that term, so no tiny x underflows.  From there up to
-    mu^2 / 2, a band that exists only for mu > 10, it is the uniform (Debye)
-    expansion of :func:`_log_i_debye`.  Above both, the exponentially scaled
-    large-argument value is computed first and x is added back, so the
-    composition is exact in log space.
+    summed relative to that term, so no tiny x underflows.  From there on
+    it is the uniform (Debye) expansion of :func:`_log_i_debye` at the
+    order |mu|: for mu in (-1, 0), I_mu - I_|mu| is below e^{-60} of I_|mu|.
     """
     _check_order(mu)
     _check_positive(x)
     if x < _series_crossover(mu):
         return _log_series_lead(mu, x) + math.log(_series_sum(mu, x))
-    if x < 0.5 * mu * mu:
-        return _log_i_debye(mu, x)
-    return x + math.log(_i_scaled_asymptotic(mu, x))
+    return _log_i_debye(abs(mu), x)
 
 
 def _ratio_cf(mu: float, x: float) -> float:
@@ -369,11 +331,6 @@ def _ratio_perron(mu: float, x: float) -> float:
     )
 
 
-def _hankel_pair_from(mu: float) -> float:
-    """Argument from which :func:`ratio_and_log_i` shares the two scaled large-argument sums."""
-    return max(30.0 + 2.0 * (abs(mu) + 1.0), 0.5 * mu * mu)
-
-
 def bessel_ratio(mu: float, x: float) -> float:
     """Ratio r_mu(x) = I_mu(x) / I_{mu-1}(x) for mu > 0, x > 0.
 
@@ -409,9 +366,9 @@ def bessel_ratio(mu: float, x: float) -> float:
 
 
 def ratio_and_log_i(mu: float, x: float) -> tuple[float | None, float, float] | None:
-    """(r_mu(x), log I_{mu-1}(x), log I_mu(x)) from shared sums, for mu > 0, x > 0.
+    """(r_mu(x), log I_{mu-1}(x), log I_mu(x)) in one call, for mu > 0 and finite x > 0.
 
-    Two bands share their sums:
+    Two bands answer:
 
     * below the series crossover of the order mu - 1, one
       :func:`_series_pair` loop gives both logs, and r too where
@@ -424,14 +381,16 @@ def ratio_and_log_i(mu: float, x: float) -> tuple[float | None, float, float] | 
       lgamma(mu) ~ -log(mu) cancels against log Sb, and the order mu - 1,
       which rounds (to -1 below mu = 2^-54), is never formed.  The band
       then also covers 30 + 2 mu <= x < 32 - 2 mu, where the series of
-      I_mu is as accurate as the asymptotic sum that :func:`log_bessel_i`
-      takes;
-    * from :func:`_hankel_pair_from`, where :func:`log_bessel_i` takes the
-      scaled large-argument sum for both orders, one :func:`_asymptotic_pair`
-      loop gives both logs, bit-identical to the single kernel, and r as
-      their quotient, within 4e-15 relative of :func:`bessel_ratio`.
+      I_mu is as accurate as the uniform expansion that
+      :func:`log_bessel_i` takes;
+    * from the series crossover of the order mu, both logs are the uniform
+      expansion, log I_{mu-1} at the order |mu - 1|: bit-identical to
+      :func:`log_bessel_i` of each order, and the only source of
+      log I_{mu-1} below mu = 2^-54, where mu - 1 rounds to -1.  r is None,
+      and :func:`bessel_ratio` gives it by Perron's fraction.
 
-    Elsewhere the result is None, and the caller uses the single kernels.
+    Elsewhere, for mu > 1/2 and 30 + 2|mu - 1| <= x < 30 + 2 mu, the
+    result is None, and the caller uses the single kernels.
     """
     if math.isnan(mu) or mu <= 0.0:
         raise DomainError(f"ratio requires order mu > 0, got {mu}")
@@ -445,7 +404,6 @@ def ratio_and_log_i(mu: float, x: float) -> tuple[float | None, float, float] | 
         else:
             log_i_lower = log_i - math.log(quotient)
         return (quotient if x < SERIES_RATIO_MAX_X else None), log_i_lower, log_i
-    if x >= _hankel_pair_from(mu):
-        scaled, scaled_lower = _asymptotic_pair(mu, x)
-        return scaled / scaled_lower, x + math.log(scaled_lower), x + math.log(scaled)
+    if x >= _series_crossover(mu):
+        return None, _log_i_debye(abs(mu - 1.0), x), _log_i_debye(mu, x)
     return None

@@ -45,11 +45,11 @@ _REL_TAIL_EPS = 1e-16
 # A row l, l', l'' at one point needs r_mu(t), log I_{mu-1}(t) and log I_mu(t),
 # mu = nu/2, but the public functions are called one at a time.  This memo
 # keeps the last few points' triples, keyed by (mu, t).  A miss takes what
-# ratio_and_log_i shares (one series loop below the series crossover, the
-# two scaled large-argument sums far above it) and calls the module-level
-# kernels for the rest: bessel_ratio wherever the ratio is not shared (a
-# continued fraction), so the l'' check there compares two lineages, and
-# log_bessel_i where nothing is shared.
+# ratio_and_log_i shares (both logs from one series loop below the series
+# crossover, or from the uniform expansion above it) and calls the
+# module-level kernels for the rest: bessel_ratio wherever the ratio is not
+# shared (a continued fraction), so the l'' check there compares two
+# lineages, and log_bessel_i where nothing is shared.
 @functools.lru_cache(maxsize=2)
 def _bessel_memo(mu: float, t: float) -> tuple[float, float, float]:
     x = _bessel_argument(t)
@@ -311,11 +311,11 @@ def log_density_d2(p: Params, x: float) -> float:
     where l' is assembled from r rebuilt as exp(log I_{nu/2} - log I_{nu/2-1}).
     The two forms coincide algebraically, so any disagreement beyond
     rounding signals a defect in the Bessel layer and raises
-    :class:`InternalConsistencyError`.  They are independent lineages only
-    where r is a continued fraction (1 <= t < max(32 + nu, nu^2 / 8)),
-    for the logs come from other sums there.  Below t = 1 and above that
-    band, r and both logs come from the same series or asymptotic sums, and
-    the check sees only the arithmetic that follows them.
+    :class:`InternalConsistencyError`.  They are independent lineages at
+    every t >= 1, where r is a continued fraction (Gauss's, then Perron's
+    from t = 30 + nu) and the logs come from the series or the uniform
+    expansion.  Below t = 1, r and both logs come from the same series
+    sums, and the check sees only the arithmetic that follows them.
 
     In the strongly noncentral regime lam/x >> 1 the slope form cancels its
     leading O(lam/(4x)) terms down to an O(1) result, so the comparison

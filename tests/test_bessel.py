@@ -14,7 +14,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ncx2shape.bessel as bessel_module
@@ -28,9 +28,6 @@ from ncx2shape import (
     log_bessel_i,
 )
 from ncx2shape.bessel import (
-    _asymptotic_pair,
-    _hankel_pair_from,
-    _i_scaled_asymptotic,
     _i_series,
     _log_i_debye,
     _log_series_lead,
@@ -53,8 +50,12 @@ def hybrid_close(a, b, tol):
 
 
 def _floats_log_and_flat(lo, hi):
-    """Floats in [lo, hi], both uniform and log-uniform, so every decade shows up."""
-    log_uniform = st.floats(math.log10(lo), math.log10(hi)).map(lambda e: min(max(10.0 ** e, lo), hi))
+    """Floats in [lo, hi], both uniform and log-uniform, so every decade shows up.
+
+    10.0 ** e overflows above e = 308.25, so the log-uniform part stops at 1e308.
+    """
+    log_uniform = st.floats(math.log10(lo), math.log10(hi)).map(
+        lambda e: min(max(10.0 ** min(e, 308.0), lo), hi))
     return st.one_of(st.floats(min_value=lo, max_value=hi), log_uniform)
 
 
@@ -121,11 +122,12 @@ class TestBesselI:
 
     @pytest.mark.parametrize("mu", [-0.75, 0.0, 0.5, 1.0, 2.5, 5.0])
     def test_branch_overlap(self, mu):
-        # series and scaled asymptotic agree in a band around the crossover
+        # the series and the uniform expansion at the order |mu| agree in a
+        # band around the crossover
         xc = _series_crossover(mu)
         for x in (xc - 3.0, xc - 1.0, xc + 1.0, xc + 3.0):
             a = _i_series(mu, x)
-            b = math.exp(x) * _i_scaled_asymptotic(mu, x)
+            b = math.exp(_log_i_debye(abs(mu), x))
             assert abs(a - b) / a < 1e-12
 
     def test_domain_errors(self):
@@ -135,15 +137,19 @@ class TestBesselI:
             bessel_i(-1.0, 1.0)
         with pytest.raises(DomainError):
             bessel_i(math.nan, 1.0)
+        with pytest.raises(DomainError, match="finite"):
+            bessel_i(0.0, math.inf)
 
     def test_overflow(self):
         with pytest.raises(OverflowError):
             bessel_i(0.0, 800.0)
         with pytest.raises(OverflowError):
             bessel_i(50.0, 900.0)
+        with pytest.raises(OverflowError):
+            bessel_i(1.0, sys.float_info.max)
 
-    # 30 + 2 mu <= x < mu^2 / 2, where the large-argument expansion is wrong:
-    # it made I_25(100) 21.7x and I_50(300) 63x too large.
+    # 30 + 2 mu <= x < mu^2 / 2, where the large-argument (Hankel) expansion
+    # is wrong: it made I_25(100) 21.7x and I_50(300) 63x too large.
     @pytest.mark.parametrize("mu,x", [(12.0, 60.0), (25.0, 100.0), (50.0, 300.0)])
     def test_large_order_band_against_mpmath(self, mu, x):
         with mpmath.workdps(40):
@@ -172,17 +178,32 @@ class TestLogBesselI:
         expected = x - math.log(2.0) + 0.5 * math.log(2.0 / (math.pi * x))
         assert hybrid_close(log_bessel_i(0.5, x), expected, 1e-13)
 
+    def test_largest_double(self):
+        # log I_1/2 = x - log 2 + log1p(-exp(-2x)) + (log(2/pi) - log x) / 2
+        x = sys.float_info.max
+        expected = x - math.log(2.0) + 0.5 * (math.log(2.0 / math.pi) - math.log(x))
+        assert log_bessel_i(0.5, x) == expected
+        for mu in (-0.5, 0.0, 1.0, 50.0):
+            assert math.isfinite(log_bessel_i(mu, x))
+
+    # Orders down to -1, which the density passes as mu - 1 for nu < 2, and
+    # arguments up to the largest double.
     @settings(max_examples=200, deadline=None)
-    @given(mu=_floats_log_and_flat(1e-300, 50.0), x=_floats_log_and_flat(1e-300, 1e8))
-    # The seams: series to Debye at 30 + 2 mu, Debye to Hankel at mu^2 / 2,
-    # and series to Hankel at 30 + 2 mu for mu <= 10.
+    @given(mu=st.one_of(_floats_log_and_flat(1e-300, 50.0), st.floats(-1.0, 0.0, exclude_min=True)),
+           x=_floats_log_and_flat(1e-300, sys.float_info.max))
+    # The seams from the series to the uniform expansion at 30 + 2|mu|.
+    @example(mu=-0.5, x=math.nextafter(31.0, 0.0))
+    @example(mu=-0.5, x=31.0)
+    @example(mu=0.0, x=30.0)
+    @example(mu=0.5, x=31.0)
     @example(mu=50.0, x=math.nextafter(130.0, 0.0))
     @example(mu=50.0, x=130.0)
-    @example(mu=50.0, x=math.nextafter(1250.0, 0.0))
-    @example(mu=50.0, x=1250.0)
-    @example(mu=12.0, x=72.0)
     @example(mu=1.0, x=math.nextafter(32.0, 0.0))
     @example(mu=1.0, x=32.0)
+    # The largest double.
+    @example(mu=-0.5, x=sys.float_info.max)
+    @example(mu=1.0, x=sys.float_info.max)
+    @example(mu=50.0, x=sys.float_info.max)
     def test_whole_range_against_mpmath(self, mu, x):
         # Counted in ulp of the largest of x, the result and the two terms
         # of the series' log lead, mu log(x/2) and lgamma(mu + 1): that is
@@ -196,6 +217,8 @@ class TestLogBesselI:
             log_bessel_i(0.0, 0.0)
         with pytest.raises(DomainError):
             log_bessel_i(0.0, -3.0)
+        with pytest.raises(DomainError, match="finite and > 0"):
+            log_bessel_i(0.0, math.inf)
 
 
 def _debye_polynomials(n):
@@ -215,10 +238,10 @@ def _debye_polynomials(n):
 
 
 class TestDebyeBand:
-    """log I_mu(x) for 30 + 2 mu <= x < mu^2 / 2, a band that exists for mu > 10."""
+    """log I_mu(x) for x >= 30 + 2|mu|, by the uniform expansion at the order |mu|."""
 
     def test_stored_rows_are_the_recurrence(self):
-        polys = _debye_polynomials(9)
+        polys = _debye_polynomials(15)
         # DLMF 10.41.10 prints U_1 .. U_3.
         assert polys[1] == {1: Fraction(3, 24), 3: Fraction(-5, 24)}
         assert polys[2] == {2: Fraction(81, 1152), 4: Fraction(-462, 1152), 6: Fraction(385, 1152)}
@@ -231,32 +254,69 @@ class TestDebyeBand:
         assert bessel_module._DEBYE_U == tuple(rows)
 
     @settings(max_examples=100, deadline=None)
-    @given(mu=st.floats(min_value=10.0, max_value=50.0, exclude_min=True),
+    @given(mu=st.floats(min_value=-1.0, max_value=50.0, exclude_min=True),
            u=st.floats(min_value=0.0, max_value=1.0))
     @example(mu=10.07, u=0.5)
     @example(mu=25.0, u=0.08)
     @example(mu=50.0, u=0.999)
+    @example(mu=-0.5, u=0.0)
     def test_against_mpmath(self, mu, u):
-        # x log-uniform over the band
-        lo, hi = _series_crossover(mu), 0.5 * mu * mu
-        x = lo * (hi / lo) ** u
-        assume(lo <= x < hi)
+        # x log-uniform over six decades from the crossover
+        lo = _series_crossover(mu)
+        x = lo * 1e6 ** u
         got = log_bessel_i(mu, x)
-        assert got == _log_i_debye(mu, x)
+        assert got == _log_i_debye(abs(mu), x)
         assert abs(got - _mp_log_i(mu, x)) <= 4.0 * math.ulp(x)
 
-    @pytest.mark.parametrize("mu", [10.5, 12.0, 25.0, 50.0])
+    @pytest.mark.parametrize("mu", [-0.5, 0.0, 0.5, 1.0, 10.5, 12.0, 25.0, 50.0])
     def test_seams(self, mu):
-        # At each end of the band the expansion meets the neighbouring branch.
-        lo, hi = _series_crossover(mu), 0.5 * mu * mu
+        # At the crossover the expansion meets the series.
+        lo = _series_crossover(mu)
         series = _log_series_lead(mu, lo) + math.log(_series_sum(mu, lo))
-        hankel = hi + math.log(_i_scaled_asymptotic(mu, hi))
-        assert abs(_log_i_debye(mu, lo) - series) <= 4.0 * math.ulp(lo)
-        assert abs(_log_i_debye(mu, hi) - hankel) <= 4.0 * math.ulp(hi)
+        assert abs(_log_i_debye(abs(mu), lo) - series) <= 4.0 * math.ulp(lo)
         below = math.nextafter(lo, 0.0)
         assert log_bessel_i(mu, below) == _log_series_lead(mu, below) + math.log(_series_sum(mu, below))
-        assert log_bessel_i(mu, lo) == _log_i_debye(mu, lo)
-        assert log_bessel_i(mu, hi) == hankel
+        assert log_bessel_i(mu, lo) == _log_i_debye(abs(mu), lo)
+
+    def test_row_bounds(self):
+        # On p^2 in [0, 1/5] each row's polynomial is at most its last
+        # coefficient in magnitude, and that bound falls by more than a
+        # factor 4 from row to row at s = 30: the kernel's stop test.
+        q = np.linspace(0.0, 0.2, 20001)
+        bounds = [abs(row[-1]) for row in bessel_module._DEBYE_U]
+        for row, bound in zip(bessel_module._DEBYE_U, bounds):
+            assert np.all(np.abs(np.polyval(row, q)) <= bound)
+        for bound, following in zip(bounds, bounds[1:]):
+            assert following / 30.0 < bound / 4.0
+
+    def test_a_vanishing_term_does_not_end_the_sum(self):
+        # Rows of _DEBYE_U have roots in p^2 < 1/5.  At the argument where a
+        # row's term changes sign, that term alone falls below half an ulp,
+        # while the next does not: stopping there made log I_40(118.1414...)
+        # 14843 ulp off.  Each root is placed at the smallest order mu <= 50
+        # that puts it in the band, where the next term is largest.
+        checked = 0
+        for k, row in enumerate(bessel_module._DEBYE_U[:-1], start=1):
+            for q0 in np.roots(row):
+                if abs(q0.imag) > 0.0 or not 0.0 < q0.real < 0.2:
+                    continue
+                ratio = math.sqrt(1.0 / q0.real - 1.0)  # x / mu at the root
+                mu = 1.01 * 30.0 / (ratio - 2.0)
+                if mu > 50.0:
+                    continue
+
+                def term(x):
+                    s = math.hypot(mu, x)
+                    return np.polyval(row, (mu / s) ** 2) / s ** k
+
+                lo, hi = 0.99 * mu * ratio, 1.01 * mu * ratio
+                assert term(lo) * term(hi) < 0.0
+                for _ in range(100):
+                    mid = 0.5 * (lo + hi)
+                    lo, hi = (mid, hi) if term(lo) * term(mid) > 0.0 else (lo, mid)
+                assert abs(log_bessel_i(mu, lo) - _mp_log_i(mu, lo)) <= 4.0 * math.ulp(lo)
+                checked += 1
+        assert checked >= 10
 
 
 class TestBesselRatio:
@@ -300,16 +360,6 @@ class TestBesselRatio:
         monkeypatch.setattr(bessel_module, "CF_MAX_ITER", 3)
         with pytest.raises(ConvergenceError, match="iteration cap"):
             _ratio_perron(1.0, 32.0)
-
-    @settings(max_examples=150, deadline=None)
-    @given(mu=st.floats(min_value=0.0, max_value=50.0, exclude_min=True),
-           u=st.floats(min_value=0.0, max_value=1.0))
-    def test_asymptotic_pair_is_two_single_sums(self, mu, u):
-        # x runs log-uniformly from where ratio_and_log_i shares the pair to 1e8.
-        start = _hankel_pair_from(mu)
-        x = min(start * (1e8 / start) ** u, 1e8)
-        single = (_i_scaled_asymptotic(mu, x), _i_scaled_asymptotic(mu - 1.0, x))
-        assert _asymptotic_pair(mu, x) == single
 
     @pytest.mark.parametrize("mu", [1e-6, 0.25, 0.5, 1.0, 2.0, 5.0])
     def test_positivity(self, mu):
@@ -421,20 +471,33 @@ class TestSharedKernel:
 
     @settings(max_examples=150, deadline=None)
     @given(mu=_floats_log_and_flat(1e-20, 50.0), u=st.floats(min_value=0.0, max_value=1.0))
+    @example(mu=5e-17, u=0.0)
+    @example(mu=0.25, u=0.0)
+    @example(mu=50.0, u=1.0)
     def test_asymptotic_band_is_bit_identical(self, mu, u):
-        # Both logs are bit-identical.  r is the quotient of the two sums,
-        # bessel_ratio Perron's fraction: they agree within the ratio's
-        # 4e-15 bound (17 ulp apart at most in 3000 random draws), and r is
-        # within a few ulp of mpmath (9 at most).
-        x = _hankel_pair_from(mu) * 1e4 ** u
+        # x runs log-uniformly over four decades from where both orders are
+        # above their series crossovers.  Both logs are the uniform
+        # expansion, bit-identical to log_bessel_i of each order wherever
+        # that order is a double above -1, and within a few ulp of mpmath
+        # (2 at most in 800 random draws); r is left to bessel_ratio.
+        x = max(_series_crossover(mu - 1.0), _series_crossover(mu)) * 1e4 ** u
         r, log_i_lower, log_i = ratio_and_log_i(mu, x)
-        assert abs(r - bessel_ratio(mu, x)) <= 4e-15 * r
-        assert abs(r - _mp_ratio(mu, x)) <= 16.0 * math.ulp(r)
+        assert r is None
         assert log_i == log_bessel_i(mu, x)
         if mu - 1.0 > -1.0:
             assert log_i_lower == log_bessel_i(mu - 1.0, x)
-        else:
-            assert hybrid_close(log_i_lower, _mp_log_i(mu, x, 1), 1e-14)
+        for got, shift in ((log_i_lower, 1), (log_i, 0)):
+            assert abs(got - _mp_log_i(mu, x, shift)) <= 4.0 * math.ulp(x)
+
+    def test_largest_and_infinite_arguments(self):
+        x = sys.float_info.max
+        for mu in (1e-16, 0.5, 1.0, 50.0):
+            r, log_i_lower, log_i = ratio_and_log_i(mu, x)
+            assert r is None and math.isfinite(log_i_lower) and math.isfinite(log_i)
+            with pytest.raises(DomainError, match="finite and > 0"):
+                ratio_and_log_i(mu, math.inf)
+            # the ratio's limit, not a refusal
+            assert bessel_ratio(mu, math.inf) == 1.0
 
     @settings(max_examples=150, deadline=None)
     @given(mu=_floats_log_and_flat(1e-20, 50.0), u=st.floats(min_value=0.0, max_value=1.0))
@@ -450,7 +513,7 @@ class TestSharedKernel:
         if x < _series_crossover(mu):
             assert log_i == log_bessel_i(mu, x)
         else:
-            # mu < 1/2 and 30 + 2 mu <= x: the series against the asymptotic sum
+            # mu < 1/2 and 30 + 2 mu <= x: the series against the uniform expansion
             assert abs(log_i - log_bessel_i(mu, x)) <= 4.0 * math.ulp(abs(log_i))
         if mu >= 0.5:
             assert log_i_lower == log_bessel_i(mu - 1.0, x)

@@ -259,9 +259,9 @@ class TestLogDensityDerivatives:
 
     # nu = 1e-16, lam = 5: the order nu/2 - 1 rounds to -1, outside the
     # domain of log_bessel_i, so log I_{nu/2-1} must come from the shared
-    # kernel, which never forms that order (series at x = 3, asymptotic sums
-    # at x = 300).  (x, l, l', l''): mpmath at 60 digits, mpmath.diff for
-    # the derivatives.
+    # kernel, which never forms that order (series at x = 3, the uniform
+    # expansion at the order |nu/2 - 1| at x = 300).  (x, l, l', l''):
+    # mpmath at 60 digits, mpmath.diff for the derivatives.
     @pytest.mark.parametrize("x,l,d1,d2", [
         (3.0, -2.2747467624915267, -0.0814040912268723, -0.03761980735701911),
         (300.0, -119.26754001026606, -0.43793370868247833, -9.933312669494385e-05),
@@ -331,11 +331,12 @@ def kernel_calls(cold_memo, monkeypatch):
 
 class TestKernelMemo:
     # Points in each band of the shared kernel: the continued-fraction ratio
-    # with the series logs, the series quotient (t < 1), the asymptotic sums
-    # (twice), and the band where nothing is shared (30.5 <= t < 33.5 at
-    # mu = 0.75).
+    # with the series logs, the series quotient (t < 1), the uniform
+    # expansion's logs with Perron's ratio (twice), and the band where
+    # nothing is shared (30 + 2|mu - 1| <= t < 30 + 2 mu, 30.5 <= t < 31.5
+    # at mu = 0.75; t = 31 here).
     POINTS = ((Params(1, 5), 2.0), (Params(0.3, 0.7), 0.05), (Params(7.5, 40), 60.0),
-              (Params(60, 500), 700.0), (Params(1.5, 32), 32.0))
+              (Params(60, 500), 700.0), (Params(1.5, 30.03125), 32.0))
 
     @pytest.mark.parametrize("p,x", POINTS)
     def test_row_takes_each_kernel_value_once(self, cold_memo, p, x):
@@ -364,7 +365,7 @@ class TestKernelMemo:
         assert kernel_calls["log_bessel_i"] == []
 
     def test_unshared_row_takes_the_single_kernels(self, kernel_calls):
-        p, x = Params(1.5, 32), 32.0
+        p, x = self.POINTS[-1]
         log_density_derivatives(p, x)
         assert len(kernel_calls["bessel_ratio"]) == 1
         assert sorted(mu for mu, _ in kernel_calls["log_bessel_i"]) == [-0.25, 0.75]
@@ -396,6 +397,19 @@ class TestKernelMemo:
         log_density_d1(p, 2.0)
         with pytest.raises(InternalConsistencyError):
             fn(p, 2.0)
+
+    @pytest.mark.parametrize("fn", [log_density_d2, log_density_d3, log_density_derivatives])
+    @pytest.mark.parametrize("p,x", [(Params(7.5, 40), 60.0), (Params(60, 500), 700.0)])
+    def test_self_check_sees_a_bad_ratio_above_the_crossover(self, cold_memo, monkeypatch,
+                                                             fn, p, x):
+        # From t = 30 + nu the ratio is Perron's fraction and both logs the
+        # uniform expansion: two lineages, so a wrong ratio fails there too.
+        original = density_module.bessel_ratio
+        monkeypatch.setattr(density_module, "bessel_ratio",
+                            lambda mu, t: original(mu, t) * (1.0 + 1e-6))
+        log_density_d1(p, x)
+        with pytest.raises(InternalConsistencyError):
+            fn(p, x)
 
     def test_memo_is_bounded(self, cold_memo):
         p = Params(3, 10)
