@@ -8,20 +8,16 @@ antimode location with provable bounds.
 
 __version__ = "0.1.0"
 
-from .bessel import bessel_i, bessel_ratio, log_bessel_i
+from .bessel import bessel_ratio, log_bessel_i
 from .density import (
-    LogDensityDerivatives,
     Params,
-    central_density,
     density_bessel,
     density_series,
     density_series_grid,
-    density_series_info,
     log_density,
     log_density_d1,
     log_density_d2,
     log_density_d3,
-    log_density_derivatives,
 )
 from .errors import (
     ConvergenceError,
@@ -59,23 +55,19 @@ __all__ = [
     "GridMaxima",
     "GridSpec",
     "InternalConsistencyError",
-    "LogDensityDerivatives",
     "ModeReport",
     "NCX2ShapeError",
     "Params",
     "ShapeReport",
     "adaptive_quadrature",
     "antimode",
-    "bessel_i",
     "bessel_ratio",
-    "central_density",
     "classify",
     "critical_lambda",
     "criticality_indicator",
     "density_bessel",
     "density_series",
     "density_series_grid",
-    "density_series_info",
     "finite_difference",
     "grid_local_maxima",
     "inflection_point",
@@ -85,6 +77,5 @@ __all__ = [
     "log_density_d1",
     "log_density_d2",
     "log_density_d3",
-    "log_density_derivatives",
     "mode_report",
 ]

@@ -45,7 +45,6 @@ CF_MAX_ITER = 10_000
 # loses a few digits for tiny orders at small arguments.
 SERIES_RATIO_MAX_X = 1.0
 
-_LOG_DBL_MAX = math.log(math.sqrt(math.pi)) + 709.0  # conservative exp() ceiling
 _TINY = 1e-300
 
 
@@ -110,15 +109,6 @@ def _series_pair(mu: float, x: float) -> tuple[float, float]:
 def _log_series_lead(mu: float, x: float) -> float:
     """log of the series' first term, (x/2)^mu / Gamma(mu + 1)."""
     return mu * math.log(0.5 * x) - math.lgamma(mu + 1.0)
-
-
-def _i_series(mu: float, x: float) -> float:
-    """Ascending series sum_k (x/2)^(2k+mu) / (k! Gamma(mu+k+1)).
-
-    Valid for every mu > -1 including the negative-order window (-1, 0);
-    the gamma argument mu + k + 1 stays positive throughout.
-    """
-    return math.exp(_log_series_lead(mu, x)) * _series_sum(mu, x)
 
 
 # U_1 .. U_15 of the uniform expansion, from the recurrence DLMF 10.41.10.
@@ -200,47 +190,6 @@ def _log_i_debye(mu: float, x: float) -> float:
             poly = poly * q + c
         total += poly * scale
     return s + mu * math.log(x / (mu + s)) - 0.5 * (_LOG_2PI + math.log(s)) + math.log(total)
-
-
-def bessel_i(mu: float, x: float) -> float:
-    """Modified Bessel function of the first kind, I_mu(x).
-
-    Parameters
-    ----------
-    mu : float
-        Order, mu > -1.
-    x : float
-        Argument, finite and x >= 0.
-
-    Returns
-    -------
-    float
-        I_mu(x), with relative error below 1e-12 over the supported range.
-
-    Raises
-    ------
-    DomainError
-        If x < 0, x is not finite, or mu <= -1.
-    OverflowError
-        If the result exceeds double-precision range (roughly x > 709);
-        use :func:`log_bessel_i` there.
-    """
-    _check_order(mu)
-    # False for NaN as well as for x < 0 and x = inf.
-    if not 0.0 <= x < math.inf:
-        raise DomainError(f"argument must be finite and >= 0, got {x}")
-    if x == 0.0:
-        if mu == 0.0:
-            return 1.0
-        return 0.0 if mu > 0.0 else math.inf
-    if x < _series_crossover(mu):
-        return _i_series(mu, x)
-    log_i = log_bessel_i(mu, x)
-    if log_i > _LOG_DBL_MAX:
-        raise OverflowError(
-            f"I_mu(x) overflows double precision at mu={mu}, x={x}; use log_bessel_i"
-        )
-    return math.exp(log_i)
 
 
 def log_bessel_i(mu: float, x: float) -> float:

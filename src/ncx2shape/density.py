@@ -2,10 +2,12 @@
 
 Two evaluation routes are kept deliberately separate:
 
-* the Poisson mixture of central chi-squared densities (series route), with
-  a provable absolute truncation bound, and
+* the Poisson mixture of central chi-squared densities (series route), one
+  truncation loop over an array of points with a provable absolute
+  truncation bound, and
 * the closed form built on log-scaled modified Bessel functions (Bessel
-  route), which is the production path.
+  route), which is the production path.  A noncentrality below
+  ``LAMBDA_ZERO`` routes it to the central density.
 
 The routes share no special-function code beyond ``math``; comparing them is
 therefore a genuine cross-check and the oracle layer only ever touches the
@@ -100,7 +102,7 @@ def _curvature_slope(nu: float, t: float, r: float, dr: float) -> float:
 
 
 def _scaled(value: float, xn: float, what: str, x: float) -> float:
-    """value / xn, xn a power of x that may underflow; OverflowError, as in bessel_i, beyond range."""
+    """value / xn, xn a power of x that may underflow; OverflowError beyond double range."""
     out = value / xn if xn else (math.inf if value else 0.0)
     if math.isinf(out):
         raise OverflowError(f"{what} overflows double precision at x={x!r}")
@@ -127,37 +129,13 @@ class Params:
         object.__setattr__(self, "lam", lam)
 
 
-@dataclass(frozen=True)
-class LogDensityDerivatives:
-    """Log density l(x) and its first three derivatives at one point."""
-
-    x: float
-    l: float
-    d1: float
-    d2: float
-    d3: float
-
-
 def _bad_x(x: float) -> DomainError:
-    """The error for an evaluation point that fails ``x > 0`` (NaN included)."""
-    return DomainError(f"evaluation point must be > 0, got {x}")
+    """The error for an evaluation point that fails ``0 < x < inf`` (NaN included)."""
+    return DomainError(f"evaluation point must be finite and > 0, got {x}")
 
 
 def _log_central(nu: float, x: float) -> float:
     return (0.5 * nu - 1.0) * math.log(0.5 * x) - 0.5 * x - _LOG2 - math.lgamma(0.5 * nu)
-
-
-def central_density(nu: float, x: float) -> float:
-    """Central chi-squared density with nu > 0 degrees of freedom.
-
-    Computed in log space and exponentiated, so x deep in the tail or close
-    to the x^(nu/2 - 1) singularity poses no overflow problem.
-    """
-    if math.isnan(nu) or nu <= 0.0:
-        raise DomainError(f"degrees of freedom must be > 0, got {nu}")
-    if not x > 0.0:
-        raise _bad_x(x)
-    return math.exp(_log_central(nu, x))
 
 
 def _central_peak(m: float) -> float:
@@ -170,62 +148,20 @@ def _central_peak(m: float) -> float:
     return math.exp(-half + (0.5 * m - 1.0) * math.log(half) - _LOG2 - math.lgamma(0.5 * m))
 
 
-def density_series_info(p: Params, x: float, tol: float = 1e-12) -> tuple[float, int]:
-    """Poisson-mixture density value together with the truncation index K.
+def _mixture(p: Params, xs, tol: float) -> tuple[np.ndarray, int]:
+    """Poisson-mixture density over an array of points, with the truncation index K.
 
     Terms are accumulated until the remaining Poisson tail mass times a
     uniform bound on the remaining central densities drops below ``tol``
-    (absolute error guarantee) and the current term is below machine noise
-    relative to the running sum (relative accuracy near the far tail).
-    """
-    if not x > 0.0:
-        raise _bad_x(x)
-    if not tol > 0.0:
-        raise DomainError(f"tolerance must be > 0, got {tol}")
-    nu, lam = p.nu, p.lam
-    if lam < LAMBDA_ZERO:
-        return math.exp(_log_central(nu, x)), 0
-    half = 0.5 * lam
-    log_half = math.log(half)
-    log_w = -half  # log Poisson(k; lam/2) weight, k = 0
-    total = 0.0
-    cum_weight = 0.0
-    prev_term = math.inf
-    k = 0
-    while k < _SERIES_MAX_TERMS:
-        term = math.exp(log_w + _log_central(nu + 2.0 * k, x))
-        total += term
-        cum_weight += math.exp(log_w)
-        m_next = nu + 2.0 * (k + 1)
-        tail = max(0.0, 1.0 - cum_weight)
-        if (
-            m_next > 2.0
-            and tail * _central_peak(m_next) < tol
-            and term <= prev_term
-            and (term == 0.0 or term < _REL_TAIL_EPS * total)
-        ):
-            return total, k
-        prev_term = term
-        k += 1
-        log_w += log_half - math.log(k)
-    raise ConvergenceError(f"mixture series not truncated after {k} terms at x={x}")
-
-
-def density_series(p: Params, x: float, tol: float = 1e-12) -> float:
-    """Density by the Poisson mixture of central chi-squared densities."""
-    return density_series_info(p, x, tol)[0]
-
-
-def density_series_grid(p: Params, xs, tol: float = 1e-12) -> np.ndarray:
-    """Vectorised mixture density over an array of evaluation points.
-
-    Same lineage and truncation rule as :func:`density_series`; one shared
-    truncation index is used for the whole grid, so the result is a smooth
-    (finitely parameterised) function of x with no noise-induced wiggles.
+    (absolute error guarantee) and every point's current term is below
+    machine noise relative to its running sum (relative accuracy near the
+    far tail).  One K serves all the points, so a grid's values are a
+    smooth (finitely parameterised) function of x with no noise-induced
+    wiggles.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.size == 0 or np.any(~np.isfinite(xs)) or np.any(xs <= 0.0):
-        raise DomainError("grid points must be finite and > 0")
+        raise DomainError("evaluation points must be finite and > 0")
     if not tol > 0.0:
         raise DomainError(f"tolerance must be > 0, got {tol}")
     nu, lam = p.nu, p.lam
@@ -235,10 +171,10 @@ def density_series_grid(p: Params, xs, tol: float = 1e-12) -> np.ndarray:
         return (0.5 * m - 1.0) * log_half_x - 0.5 * xs - _LOG2 - gammaln(0.5 * m)
 
     if lam < LAMBDA_ZERO:
-        return np.exp(log_central_vec(nu))
+        return np.exp(log_central_vec(nu)), 0
     half = 0.5 * lam
     log_half = math.log(half)
-    log_w = -half
+    log_w = -half  # log Poisson(k; lam/2) weight, k = 0
     total = np.zeros_like(xs)
     cum_weight = 0.0
     prev_term = np.full_like(xs, np.inf)
@@ -252,11 +188,21 @@ def density_series_grid(p: Params, xs, tol: float = 1e-12) -> np.ndarray:
         if m_next > 2.0 and tail * _central_peak(m_next) < tol and np.all(term <= prev_term):
             rel = term / np.maximum(total, 1e-300)
             if np.all((term == 0.0) | (rel < _REL_TAIL_EPS)):
-                return total
+                return total, k
         prev_term = term
         k += 1
         log_w += log_half - math.log(k)
-    raise ConvergenceError(f"mixture series not truncated after {k} terms on grid")
+    raise ConvergenceError(f"mixture series not truncated after {k} terms")
+
+
+def density_series(p: Params, x: float, tol: float = 1e-12) -> float:
+    """Density at one point by the Poisson mixture of central chi-squared densities."""
+    return float(_mixture(p, [x], tol)[0][0])
+
+
+def density_series_grid(p: Params, xs, tol: float = 1e-12) -> np.ndarray:
+    """Mixture density over an array of evaluation points, one shared truncation index."""
+    return _mixture(p, xs, tol)[0]
 
 
 def log_density(p: Params, x: float) -> float:
@@ -265,6 +211,8 @@ def log_density(p: Params, x: float) -> float:
         raise _bad_x(x)
     nu, lam = p.nu, p.lam
     if lam < LAMBDA_ZERO:
+        if x == math.inf:
+            raise _bad_x(x)
         return _log_central(nu, x)
     t = math.sqrt(lam * x)
     return (
@@ -294,6 +242,8 @@ def log_density_d1(p: Params, x: float) -> float:
         raise _bad_x(x)
     nu, lam = p.nu, p.lam
     if lam < LAMBDA_ZERO:
+        if x == math.inf:
+            raise _bad_x(x)
         return -0.5 + (nu - 2.0) / (2.0 * x)
     t = math.sqrt(lam * x)
     return -0.5 + (nu - 2.0) / (2.0 * x) + math.sqrt(lam) / (2.0 * math.sqrt(x)) * _bessel_memo(0.5 * nu, t)[0]
@@ -328,6 +278,8 @@ def log_density_d2(p: Params, x: float) -> float:
         raise _bad_x(x)
     nu, lam = p.nu, p.lam
     if lam < LAMBDA_ZERO:
+        if x == math.inf:
+            raise _bad_x(x)
         return _scaled(2.0 - nu, 2.0 * x * x, "l''", x)
     t = math.sqrt(lam * x)
     mu = 0.5 * nu
@@ -370,14 +322,3 @@ def log_density_d3(p: Params, x: float) -> float:
     dr = _ratio_slope(p.nu, t, r)
     x3_d3 = 0.5 * t * _curvature_slope(p.nu, t, r, dr) - 2.0 * _curvature(p.nu, t, r)
     return _scaled(x3_d3, x * x * x, "l'''", x)
-
-
-def log_density_derivatives(p: Params, x: float) -> LogDensityDerivatives:
-    """Bundle l, l', l'', l''' at one evaluation point."""
-    return LogDensityDerivatives(
-        x=x,
-        l=log_density(p, x),
-        d1=log_density_d1(p, x),
-        d2=log_density_d2(p, x),
-        d3=log_density_d3(p, x),
-    )

@@ -113,14 +113,16 @@ def criticality_indicator(nu: float, lam: float) -> float:
 
         r_{nu/2}(t) - (lam - 2) / t,
 
-    defined for lam > 4 - nu.  It is negative below the critical
-    noncentrality and positive above it, crossing zero exactly once.
+    defined for finite lam > 4 - nu.  It is negative below the critical
+    noncentrality and positive above it, crossing zero exactly once.  t is
+    formed as sqrt(lam) sqrt(lam + nu - 4), as lam (lam + nu - 4) overflows
+    above lam ~ 1.34e154.
     """
     if math.isnan(nu) or not 0.0 < nu < 2.0:
         raise DomainError(f"indicator requires 0 < nu < 2, got {nu}")
-    if math.isnan(lam) or lam <= 4.0 - nu:
-        raise DomainError(f"indicator requires lam > 4 - nu = {4.0 - nu}, got {lam}")
-    t = math.sqrt(lam * (lam + nu - 4.0))
+    if not 4.0 - nu < lam < math.inf:
+        raise DomainError(f"indicator requires finite lam > 4 - nu = {4.0 - nu}, got {lam}")
+    t = math.sqrt(lam) * math.sqrt(lam + nu - 4.0)
     return bessel_ratio(0.5 * nu, t) - (lam - 2.0) / t
 
 

@@ -91,6 +91,7 @@ class TestEval:
         assert run_cli(capsys, "eval", "--nu", "-1", "--lambda", "5", "--x", "1")[0] == 2
         assert run_cli(capsys, "eval", "--nu", "1", "--lambda", "-5", "--x", "1")[0] == 2
         assert run_cli(capsys, "eval", "--nu", "1", "--lambda", "5", "--x", "0")[0] == 2
+        assert run_cli(capsys, "eval", "--nu", "4", "--lambda", "0", "--x", "inf")[0] == 2
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("lam,x", [("1e-160", "1e-160"), ("1", "1e-170"), ("0", "1e-170")])

@@ -10,6 +10,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncx2shape import density as density_module
 from ncx2shape import shape as shape_module
@@ -17,18 +19,15 @@ from ncx2shape import (
     DomainError,
     InternalConsistencyError,
     Params,
-    central_density,
     density_bessel,
     density_series,
     density_series_grid,
-    density_series_info,
     finite_difference,
     inflection_point,
     log_density,
     log_density_d1,
     log_density_d2,
     log_density_d3,
-    log_density_derivatives,
 )
 
 # mpmath references
@@ -76,34 +75,36 @@ class TestParams:
 
 
 class TestCentralDensity:
+    """The Bessel route at lam = 0, which is the central density."""
+
     def test_two_dof(self):
-        assert hybrid_close(central_density(2.0, 2.0), E_INV_HALF, 1e-14)
+        assert hybrid_close(density_bessel(Params(2.0, 0.0), 2.0), E_INV_HALF, 1e-14)
 
     def test_four_dof(self):
         # (x/2)^(nu/2-1) = 1 and Gamma(2) = 1, so the value matches the
         # two-dof case at this point; cross-checked against scipy.stats.chi2
-        assert hybrid_close(central_density(4.0, 2.0), E_INV_HALF, 1e-14)
+        assert hybrid_close(density_bessel(Params(4.0, 0.0), 2.0), E_INV_HALF, 1e-14)
 
     def test_singular_small_x(self):
         # log-space route against the direct formula
         x = 0.01
         direct = math.exp(-x / 2.0) * (x / 2.0) ** (-0.5) / (2.0 * math.gamma(0.5))
-        got = central_density(1.0, x)
+        got = density_bessel(Params(1.0, 0.0), x)
         assert got > 1.0
         assert hybrid_close(got, direct, 1e-13)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            central_density(1.0, 0.0)
+            density_bessel(Params(1.0, 0.0), 0.0)
         with pytest.raises(DomainError):
-            central_density(0.0, 1.0)
+            Params(0.0, 0.0)
 
 
 class TestSeriesRoute:
     def test_zero_noncentrality_single_term(self):
-        value, terms = density_series_info(Params(nu=2, lam=0), 2.0)
+        values, terms = density_module._mixture(Params(nu=2, lam=0), [2.0], 1e-12)
         assert terms == 0
-        assert hybrid_close(value, E_INV_HALF, 1e-14)
+        assert hybrid_close(values[0], E_INV_HALF, 1e-14)
 
     def test_cross_form_agreement(self):
         p = Params(nu=1, lam=5)
@@ -112,8 +113,8 @@ class TestSeriesRoute:
 
     def test_truncation_bound_tightens(self):
         p = Params(nu=1.5, lam=8)
-        loose, k_loose = density_series_info(p, 4.0, tol=1e-6)
-        tight, k_tight = density_series_info(p, 4.0, tol=1e-14)
+        (loose,), k_loose = density_module._mixture(p, [4.0], 1e-6)
+        (tight,), k_tight = density_module._mixture(p, [4.0], 1e-14)
         assert k_tight >= k_loose
         assert abs(loose - tight) < 1e-6
 
@@ -132,6 +133,11 @@ class TestSeriesRoute:
             density_series(p, 1.0, tol=0.0)
         with pytest.raises(DomainError):
             density_series_grid(p, [1.0, -2.0])
+        # An infinite x used to run the loop to its 200000-term cap (lam > 0)
+        # or return 0 (nu < 2) or NaN (nu >= 2) at lam = 0.
+        for p in (Params(nu=1, lam=1), Params(nu=1, lam=0), Params(nu=4, lam=0)):
+            with pytest.raises(DomainError):
+                density_series(p, math.inf)
 
 
 class TestBesselRoute:
@@ -149,7 +155,7 @@ class TestBesselRoute:
 
     def test_zero_noncentrality_routes_central(self):
         p = Params(nu=4, lam=0)
-        assert hybrid_close(density_bessel(p, 2.0), central_density(4.0, 2.0), 1e-14)
+        assert hybrid_close(density_bessel(p, 2.0), density_series(p, 2.0), 1e-14)
 
     def test_form_equivalence_grid(self):
         worst = 0.0
@@ -161,6 +167,19 @@ class TestBesselRoute:
                     b = density_bessel(p, float(x))
                     worst = max(worst, abs(a - b) / max(1.0, a, b))
         assert worst <= 1e-10
+
+    # The documented envelope, nu up to 100, with x anywhere in the bulk,
+    # mean +- 8 sd (cut at 0).
+    @settings(max_examples=200, deadline=None)
+    @given(nu=st.floats(-3.0, 2.0).map(lambda e: 10.0 ** e),
+           lam=st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+           u=st.floats(1e-9, 1.0))
+    def test_form_equivalence_envelope(self, nu, lam, u):
+        p = Params(nu=nu, lam=lam)
+        mean, sd = p.nu + p.lam, math.sqrt(2.0 * (p.nu + 2.0 * p.lam))
+        lo, hi = max(mean - 8.0 * sd, 0.0), mean + 8.0 * sd
+        x = lo + u * (hi - lo)
+        assert hybrid_close(density_series(p, x), density_bessel(p, x), 1e-12)
 
 
 class TestLogDensityDerivatives:
@@ -225,6 +244,15 @@ class TestLogDensityDerivatives:
         with pytest.raises(DomainError, match=r"lam \* x underflows"):
             f(tiny, 1e-30)
 
+    @pytest.mark.parametrize("f", [log_density, density_bessel, log_density_d1, log_density_d2,
+                                   log_density_d3])
+    def test_infinite_x_at_zero_noncentrality(self, f):
+        # The central formulas gave NaN (nu >= 2), or -inf and finite limits
+        # (nu < 2), at x = inf, where every lam > 0 raises.
+        for nu in (1.0, 2.0, 4.0):
+            with pytest.raises(DomainError, match="finite"):
+                f(Params(nu, 0.0), math.inf)
+
     def test_d3_central_closed_form(self):
         # third derivative of (nu/2 - 1) log x - x/2 is (nu - 2)/x^3
         p = Params(nu=4, lam=0)
@@ -288,18 +316,15 @@ class TestLogDensityDerivatives:
         for x in np.geomspace(1e-3, 200.0, 60):
             assert log_density_d2(p, float(x)) <= 1e-12
 
-    def test_bundle(self):
-        p = Params(nu=1, lam=5)
-        d = log_density_derivatives(p, 2.0)
-        assert d.l == log_density(p, 2.0)
-        assert d.d1 == log_density_d1(p, 2.0)
-        assert d.d2 == log_density_d2(p, 2.0)
-        assert d.d3 == log_density_d3(p, 2.0)
-
     def test_exp_log_density_matches_density(self):
         p = Params(nu=1.5, lam=3)
         for x in (0.01, 1.0, 40.0):
             assert hybrid_close(math.exp(log_density(p, x)), density_bessel(p, x), 1e-14)
+
+
+def _four_calls(p, x):
+    """l, l', l'', l''' at one point, in that order."""
+    return [fn(p, x) for fn in (log_density, log_density_d1, log_density_d2, log_density_d3)]
 
 
 def _clear_memo():
@@ -349,7 +374,8 @@ class TestKernelMemo:
 
     @pytest.mark.parametrize("p,x", POINTS)
     def test_bundle_takes_no_more(self, kernel_calls, p, x):
-        log_density_derivatives(p, x)
+        # l''' after the row l, l', l'' adds no kernel call.
+        _four_calls(p, x)
         assert len(kernel_calls["ratio_and_log_i"]) == 1
         assert len(kernel_calls["bessel_ratio"]) <= 1
         assert len(kernel_calls["log_bessel_i"]) <= 2
@@ -366,7 +392,7 @@ class TestKernelMemo:
 
     def test_unshared_row_takes_the_single_kernels(self, kernel_calls):
         p, x = self.POINTS[-1]
-        log_density_derivatives(p, x)
+        _four_calls(p, x)
         assert len(kernel_calls["bessel_ratio"]) == 1
         assert sorted(mu for mu, _ in kernel_calls["log_bessel_i"]) == [-0.25, 0.75]
 
@@ -380,14 +406,14 @@ class TestKernelMemo:
             cold.append(fn(p, x))
         assert warm == cold
 
-    @pytest.mark.parametrize("fn", [log_density_d2, log_density_d3, log_density_derivatives,
+    @pytest.mark.parametrize("fn", [log_density_d2, log_density_d3, _four_calls,
                                     lambda p, x: inflection_point(p)],
-                             ids=["log_density_d2", "log_density_d3", "log_density_derivatives",
+                             ids=["log_density_d2", "log_density_d3", "four_calls",
                                   "inflection_point"])
     def test_self_check_still_sees_a_bad_ratio(self, cold_memo, monkeypatch, request, fn):
         # A wrong ratio cached by l' must still fail the l'' check, whose
         # second lineage rebuilds the ratio from log I values; l''', the
-        # bundle and the inflection point each run that check.
+        # row of four calls and the inflection point each run that check.
         # A tau solved on the bad ratio must not outlive the test.
         request.addfinalizer(shape_module._critical_lambda_cached.cache_clear)
         original = density_module.bessel_ratio
@@ -398,7 +424,7 @@ class TestKernelMemo:
         with pytest.raises(InternalConsistencyError):
             fn(p, 2.0)
 
-    @pytest.mark.parametrize("fn", [log_density_d2, log_density_d3, log_density_derivatives])
+    @pytest.mark.parametrize("fn", [log_density_d2, log_density_d3, _four_calls])
     @pytest.mark.parametrize("p,x", [(Params(7.5, 40), 60.0), (Params(60, 500), 700.0)])
     def test_self_check_sees_a_bad_ratio_above_the_crossover(self, cold_memo, monkeypatch,
                                                              fn, p, x):

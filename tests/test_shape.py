@@ -148,6 +148,16 @@ class TestCriticalityIndicator:
             criticality_indicator(2.0, 5.0)
         with pytest.raises(DomainError):
             criticality_indicator(-0.5, 5.0)
+        for lam in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="finite"):
+                criticality_indicator(1.0, lam)
+
+    @pytest.mark.parametrize("lam", [1e155, 1e200, 1e308])
+    def test_huge_noncentrality(self, lam):
+        # The value is about 1 / (2 lam), a difference of two numbers within
+        # rounding of 1.  lam (lam + nu - 4) overflows above lam ~ 1.34e154,
+        # which made t infinite and the indicator 1.0.
+        assert abs(criticality_indicator(1.0, lam)) <= 4.0 * math.ulp(1.0)
 
 
 class TestCriticalLambda:
