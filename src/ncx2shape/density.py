@@ -25,7 +25,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .bessel import bessel_ratio, log_bessel_i, ratio_and_log_i
 from .errors import ConvergenceError, DomainError, InternalConsistencyError
@@ -168,7 +167,7 @@ def _mixture(p: Params, xs, tol: float) -> tuple[np.ndarray, int]:
     log_half_x = np.log(0.5 * xs)
 
     def log_central_vec(m: float) -> np.ndarray:
-        return (0.5 * m - 1.0) * log_half_x - 0.5 * xs - _LOG2 - gammaln(0.5 * m)
+        return (0.5 * m - 1.0) * log_half_x - 0.5 * xs - _LOG2 - math.lgamma(0.5 * m)
 
     if lam < LAMBDA_ZERO:
         return np.exp(log_central_vec(nu)), 0

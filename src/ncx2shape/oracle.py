@@ -16,6 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Bare scipy loads none of scipy's public subpackages and costs a few ms.
+# Nothing here needs it at import; it stays only because the benchmark reads
+# the scipy import time of `import ncx2shape` and reports null, not 0, for an
+# import that does not happen.  ROADMAP item 1 (an absent import reads 0)
+# lets this line go.
+import scipy  # noqa: F401
+
 from .density import Params, density_series, density_series_grid
 from .errors import ConvergenceError, DomainError
 

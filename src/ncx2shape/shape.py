@@ -233,8 +233,21 @@ def _bisect(f, lo: float, hi: float, xtol: float, rtol: float,
     return (closing if lo <= closing <= hi else 0.5 * (lo + hi)), evals
 
 
+# Smallest nu the sub-two solvers accept.  From here up, lambda_nu is within
+# relative tol of 50-digit mpmath at tol 1e-8 and 1e-10 (worst 0.78 tol on
+# 600 draws in [1e-16, 1e-15], 1.45 tol in [1e-17, 1e-16]); below it
+# D = 2 - nu - t r cancels until the solve returns a wrong value or divides by
+# zero.  Checked on a cache miss only.
+NU_FLOOR = 1e-16
+
+
 @lru_cache(maxsize=1024)
 def _critical_lambda_cached(nu: float, tol: float) -> CriticalLambda:
+    if nu < NU_FLOOR:
+        raise DomainError(
+            f"nu={nu!r} is below {NU_FLOOR:g}, the smallest degrees of freedom at which "
+            "the critical noncentrality is solved to its tolerance"
+        )
     seen = []
 
     def g(t: float) -> tuple[float, float, float]:
@@ -283,7 +296,9 @@ def critical_lambda(nu: float, tol: float = DEFAULT_TOL) -> CriticalLambda:
     (tau ~ 2 (12 nu)^(1/6) as nu -> 0 and 2 (2 - nu)^(1/4) as nu -> 2), but
     the fit is only a start: tau is always solved, and lambda_nu computed,
     from g_nu itself.  The critical value approaches 4 as nu drops to 0 and
-    2 as nu rises to 2.
+    2 as nu rises to 2.  Below ``NU_FLOOR`` it raises :class:`DomainError`,
+    and so do :func:`classify`, :func:`inflection_point` and
+    :func:`ncx2shape.modes.mode_report`, which solve it.
     """
     if math.isnan(nu) or not 0.0 < nu < 2.0:
         raise DomainError(f"critical noncentrality is defined for 0 < nu < 2, got {nu}")

@@ -193,6 +193,20 @@ class TestCriticalTable:
     def test_rejects_infinite_tolerance(self):
         assert run_child("critical-table", "--nu", "1", "--tol", "inf") == 2
 
+    def test_nu_floor(self, capsys):
+        # Below shape.NU_FLOOR = 1e-16 the solvers refuse.  Without the floor,
+        # 1e-300 printed a negative lambda_nu with exit 0, and 1e-50 exited 3
+        # on a ZeroDivisionError.
+        for argv in (("critical-table", "--nu", "1e-300"), ("critical-table", "--nu", "1e-50"),
+                     ("critical-table", "--nu", "9.9e-17"), ("classify", "--nu", "1e-300", "--lambda", "3"),
+                     ("modes", "--nu", "1e-300", "--lambda", "3")):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert "below 1e-16" in err
+        rows = run_json(capsys, "critical-table", "--nu", "1e-16")["payload"]["rows"]
+        assert 4.0 < rows[0]["lambda_nu"] < 4.0001
+        assert run_json(capsys, "classify", "--nu", "1e-16", "--lambda", "3")["payload"]["decreasing"]
+
 
 class TestModes:
     def test_log_concave(self, capsys):

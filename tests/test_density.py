@@ -1,6 +1,7 @@
 """Density and log-derivative tests.
 
-High-precision references (mpmath, 40 digits) are frozen as constants.  The
+High-precision references (mpmath, 40 digits) are frozen as constants, but
+for the log-gamma checks, which compute theirs with mpmath at 40 digits.  The
 series and Bessel routes are implemented independently, so their agreement
 below is a genuine cross-check, not a tautology.
 """
@@ -8,6 +9,7 @@ below is a genuine cross-check, not a tautology.
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -138,6 +140,46 @@ class TestSeriesRoute:
         for p in (Params(nu=1, lam=1), Params(nu=1, lam=0), Params(nu=4, lam=0)):
             with pytest.raises(DomainError):
                 density_series(p, math.inf)
+
+
+def _mp_density(nu, lam, x):
+    """The density at 40 digits: central closed form at lam = 0, the Bessel form above."""
+    with mpmath.workdps(40):
+        nu, lam, x = mpmath.mpf(nu), mpmath.mpf(lam), mpmath.mpf(x)
+        if lam == 0:
+            return x ** (nu / 2 - 1) * mpmath.exp(-x / 2) / (2 ** (nu / 2) * mpmath.gamma(nu / 2))
+        return (mpmath.exp(-(x + lam) / 2) * (x / lam) ** (nu / 4 - mpmath.mpf(1) / 2)
+                * mpmath.besseli(nu / 2 - 1, mpmath.sqrt(lam * x)) / 2)
+
+
+class TestOneLogGamma:
+    """Both routes take log Gamma(nu/2 + k) from math.lgamma, the package's only log-gamma."""
+
+    # lgamma(nu/2) is 0 at nu = 2 and nu = 4.
+    NUS = (1e-3, 0.5, 1.0, 2.0, 3.0, 4.0, 7.0, 40.0)
+    XS = tuple(map(float, np.geomspace(1e-3, 100.0, 21)))
+
+    @pytest.mark.parametrize("nu", NUS)
+    def test_central_routes_agree(self, nu):
+        p = Params(nu, 0.0)
+        for x in self.XS:
+            series, closed = density_series(p, x), math.exp(log_density(p, x))
+            assert abs(series - closed) <= 1e-15 * closed, x
+
+    @pytest.mark.parametrize("nu", NUS)
+    def test_central_routes_match_mpmath(self, nu):
+        p = Params(nu, 0.0)
+        for x in self.XS:
+            ref = _mp_density(nu, 0.0, x)
+            for got in (density_series(p, x), math.exp(log_density(p, x))):
+                assert abs(got - ref) <= 1e-13 * ref, x
+
+    @pytest.mark.parametrize("nu,lam,x", [(0.5, 3.0, 0.01), (1.0, 5.0, 3.0), (2.0, 1e-3, 1e-3),
+                                          (3.0, 0.5, 2.0), (4.0, 20.0, 25.0), (7.0, 40.0, 60.0),
+                                          (40.0, 10.0, 45.0)])
+    def test_mixture_matches_mpmath(self, nu, lam, x):
+        ref = _mp_density(nu, lam, x)
+        assert abs(density_series(Params(nu, lam), x, 1e-14) - ref) <= 1e-13 * ref
 
 
 class TestBesselRoute:

@@ -308,6 +308,39 @@ class TestCriticalLambda:
             critical_lambda(1.0, tol=0.0)
 
 
+class TestNuFloor:
+    """Below ``NU_FLOOR`` every sub-two solver refuses; from it up, lambda_nu meets its tol."""
+
+    FLOOR = shape_module.NU_FLOOR
+    # Without the floor, 1e-300 returned lambda_nu = -4.2e-269 and classified
+    # (1e-300, 3) as bimodal; 1e-50 and 1e-310 raised a bare ZeroDivisionError.
+    BELOW = (math.nextafter(shape_module.NU_FLOOR, 0.0), 1e-17, 1e-20, 1e-50, 1e-300, 1e-310)
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10])
+    def test_lambda_nu_within_tol_from_the_floor(self, tol):
+        # Relative: tol is relative throughout.  Between 1e-17 and 1e-16 the
+        # error reaches 1.45 tol at tol 1e-10, so the floor is not lower.
+        for nu in map(float, np.geomspace(self.FLOOR, 1e-8, 17)):
+            ref = _mp_lambda_nu(nu)
+            assert abs(critical_lambda(nu, tol).lambda_nu - ref) <= tol * ref, nu
+
+    @pytest.mark.parametrize("nu", BELOW)
+    def test_solvers_refuse_below_the_floor(self, nu):
+        for solve in (lambda: critical_lambda(nu), lambda: critical_lambda(nu, 1e-10),
+                      lambda: classify(Params(nu, 3.0)), lambda: classify(Params(nu, 0.0)),
+                      lambda: mode_report(Params(nu, 3.0)), lambda: mode_report(Params(nu, 30.0)),
+                      lambda: inflection_point(Params(nu, 3.0))):
+            with pytest.raises(DomainError, match="below 1e-16"):
+                solve()
+
+    def test_at_the_floor_the_solvers_answer(self):
+        nu = self.FLOOR
+        assert 4.0 < critical_lambda(nu).lambda_nu < 4.0 + 2.0 * (12.0 * nu) ** (1.0 / 3.0)
+        assert classify(Params(nu, 3.0)).decreasing
+        rep = mode_report(Params(nu, 30.0))
+        assert rep.antimode < rep.interior_mode
+
+
 # nu over both pieces of each stored start: log-spaced towards 0 and towards
 # 2 from 1e-12, evenly between, and both sides of the seam at nu = 1.
 START_NUS = sorted(set(map(float, np.concatenate([
