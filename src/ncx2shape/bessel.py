@@ -22,7 +22,22 @@ never by dividing two possibly overflowing function values.  Orders far
 beyond |mu| ~ 50 are outside the intended use of this module; the callers
 only ever need mu = nu/2 and mu - 1 for moderate degrees of freedom nu.
 The density needs r_mu, log I_{mu-1} and log I_mu at the same point, and
-:func:`ratio_and_log_i` gives them from shared sums where they share any.
+:func:`_point` gives all three from one band dispatch.  Sa and Sb are the
+series of I_mu and I_{mu-1}, each relative to its first term, from one
+loop; the last column says whether the density's l'' check, which rebuilds
+r from the two logs, compares two lineages there (values that share no
+sum):
+
+  band                            r                 log I_{mu-1}       log I_mu   two
+  x < 1                           x Sa / (2 mu Sb)  series Sb          series Sa  no
+  1 <= x < 30 + 2|mu - 1|         Gauss's CF *      series Sb          series Sa  yes
+  30 + 2|mu - 1| <= x < 30 + 2mu  Gauss's CF        Debye at |mu - 1|  series Sa  yes
+  x >= both crossovers            Perron's CF       Debye at |mu - 1|  Debye      yes
+
+  * Perron's from 30 + 2 mu on, which for mu < 1/2 lies inside this band.
+
+The third band is empty for mu <= 1/2.  Each value is bit-identical to
+:func:`bessel_ratio` or :func:`log_bessel_i` but for one (see :func:`_point`).
 
 All functions are pure and safe to call concurrently.
 """
@@ -155,6 +170,8 @@ _DEBYE_U = (
      -232604831188939.94, 74373122908679.14, -16634824724892.48, 2485000928034.0854,
      -229619372968.24646, 11465754899.448236, -234557963.52225152, 832859.3040162893),
 )
+# Each row with its stop bound, its last coefficient's magnitude (_log_i_debye).
+_DEBYE_ROWS = tuple((abs(row[-1]), row) for row in _DEBYE_U)
 _HALF_ULP_OF_ONE = 2.0 ** -53
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -181,9 +198,9 @@ def _log_i_debye(mu: float, x: float) -> float:
     s = math.hypot(mu, x)
     q = (mu / s) ** 2
     total = scale = 1.0
-    for row in _DEBYE_U:
+    for bound, row in _DEBYE_ROWS:
         scale /= s
-        if abs(row[-1]) * scale < _HALF_ULP_OF_ONE:
+        if bound * scale < _HALF_ULP_OF_ONE:
             break
         poly = 0.0
         for c in row:
@@ -283,18 +300,12 @@ def _ratio_perron(mu: float, x: float) -> float:
 def bessel_ratio(mu: float, x: float) -> float:
     """Ratio r_mu(x) = I_mu(x) / I_{mu-1}(x) for mu > 0, x > 0.
 
-    Dispatch:
-
-    * x < 1:  x / (2 mu) times Sa / Sb, where Sa and Sb are the power series
-      of I_mu and I_{mu-1} each divided by its first term, summed in one
-      loop by :func:`_series_pair`.  The leading factors (x/2)^mu /
-      Gamma(mu + 1) and (x/2)^(mu-1) / Gamma(mu) cancel to x / (2 mu)
-      exactly, so no lgamma or exp is evaluated, nothing underflows at tiny
-      x, and the order mu - 1 is never formed, which keeps every bit of tiny
-      orders mu,
-    * 1 <= x < 30 + 2|mu|: Gauss's continued fraction, :func:`_ratio_cf`,
-    * larger x: Perron's continued fraction, :func:`_ratio_perron`, finite
-      up to the largest double.
+    Below x = 1 it is x Sa / (2 mu Sb), Sa and Sb from :func:`_series_pair`:
+    the series' lead terms cancel to x / (2 mu) exactly, so no lgamma or exp
+    is evaluated, nothing underflows at tiny x, and the order mu - 1 is never
+    formed.  Up to 30 + 2 mu it is Gauss's continued fraction
+    (:func:`_ratio_cf`), and from there Perron's (:func:`_ratio_perron`),
+    finite up to the largest double.
 
     Over mu in (0, 50] and x up to 1e8 it is within 4e-15 relative of
     mpmath (a hypothesis sweep in the tests); the two fractions agree to
@@ -302,8 +313,8 @@ def bessel_ratio(mu: float, x: float) -> float:
     """
     # Comparisons that are false for NaN: each argument is checked once, and
     # x only below 1.
-    if not mu > 0.0:
-        raise DomainError(f"ratio requires order mu > 0, got {mu}")
+    if not 0.0 < mu < math.inf:
+        raise DomainError(f"ratio requires a finite order mu > 0, got {mu}")
     if x >= SERIES_RATIO_MAX_X:
         if x < _series_crossover(mu):
             return _ratio_cf(mu, x)
@@ -314,45 +325,34 @@ def bessel_ratio(mu: float, x: float) -> float:
     return x * total / (2.0 * mu * total_lower)
 
 
-def ratio_and_log_i(mu: float, x: float) -> tuple[float | None, float, float] | None:
-    """(r_mu(x), log I_{mu-1}(x), log I_mu(x)) in one call, for mu > 0 and finite x > 0.
+def _point(mu: float, x: float) -> tuple[float, float, float]:
+    """(r_mu(x), log I_{mu-1}(x), log I_mu(x)) for finite mu > 0 and finite x > 0.
 
-    Two bands answer:
-
-    * below the series crossover of the order mu - 1, one
-      :func:`_series_pair` loop gives both logs, and r too where
-      :func:`bessel_ratio` takes the series quotient (x < 1).  r is None
-      where it takes a continued fraction.  log I_mu is the series value
-      of :func:`log_bessel_i`.  For mu >= 1/2, where mu - 1 is exact, the
-      band lies below both orders' crossovers and log I_{mu-1} is the
-      series value of ``log_bessel_i(mu - 1, x)`` too: all bit-identical.
-      For mu < 1/2, log I_{mu-1} = log I_mu - log(x Sa / (2 mu Sb)): no
-      lgamma(mu) ~ -log(mu) cancels against log Sb, and the order mu - 1,
-      which rounds (to -1 below mu = 2^-54), is never formed.  The band
-      then also covers 30 + 2 mu <= x < 32 - 2 mu, where the series of
-      I_mu is as accurate as the uniform expansion that
-      :func:`log_bessel_i` takes;
-    * from the series crossover of the order mu, both logs are the uniform
-      expansion, log I_{mu-1} at the order |mu - 1|: bit-identical to
-      :func:`log_bessel_i` of each order, and the only source of
-      log I_{mu-1} below mu = 2^-54, where mu - 1 rounds to -1.  r is None,
-      and :func:`bessel_ratio` gives it by Perron's fraction.
-
-    Elsewhere, for mu > 1/2 and 30 + 2|mu - 1| <= x < 30 + 2 mu, the
-    result is None, and the caller uses the single kernels.
+    One band dispatch, by the module docstring's table.  For mu < 1/2 below
+    30 + 2|mu - 1|, log I_{mu-1} is log I_mu - log(x Sa / (2 mu Sb)), not
+    the series form of ``log_bessel_i(mu - 1, x)``, in which
+    lgamma(mu) ~ -log(mu) cancels against log Sb and the order mu - 1
+    rounds (to -1 below mu = 2^-54).
     """
-    if math.isnan(mu) or mu <= 0.0:
-        raise DomainError(f"ratio requires order mu > 0, got {mu}")
+    if not 0.0 < mu < math.inf:
+        raise DomainError(f"ratio requires a finite order mu > 0, got {mu}")
     _check_positive(x)
     if x < _series_crossover(mu - 1.0):
         total, total_lower = _series_pair(mu, x)
-        quotient = x * total / (2.0 * mu * total_lower)
-        log_i = _log_series_lead(mu, x) + math.log(total)
+        r = x * total / (2.0 * mu * total_lower)
+        log_half_x = math.log(0.5 * x)
+        log_i = mu * log_half_x - math.lgamma(mu + 1.0) + math.log(total)
         if mu >= 0.5:
-            log_i_lower = _log_series_lead(mu - 1.0, x) + math.log(total_lower)
+            # lgamma(mu) is the lead term's lgamma((mu - 1) + 1): mu - 1 is
+            # exact for 1/2 <= mu < 2^53.
+            log_i_lower = (mu - 1.0) * log_half_x - math.lgamma(mu) + math.log(total_lower)
         else:
-            log_i_lower = log_i - math.log(quotient)
-        return (quotient if x < SERIES_RATIO_MAX_X else None), log_i_lower, log_i
-    if x >= _series_crossover(mu):
-        return None, _log_i_debye(abs(mu - 1.0), x), _log_i_debye(mu, x)
-    return None
+            log_i_lower = log_i - math.log(r)
+        if x >= SERIES_RATIO_MAX_X:
+            r = _ratio_cf(mu, x) if x < _series_crossover(mu) else _ratio_perron(mu, x)
+        return r, log_i_lower, log_i
+    log_i_lower = _log_i_debye(abs(mu - 1.0), x)
+    if x < _series_crossover(mu):
+        log_i = _log_series_lead(mu, x) + math.log(_series_sum(mu, x))
+        return _ratio_cf(mu, x), log_i_lower, log_i
+    return _ratio_perron(mu, x), log_i_lower, _log_i_debye(mu, x)

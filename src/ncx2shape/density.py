@@ -26,7 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import bessel_ratio, log_bessel_i, ratio_and_log_i
+from .bessel import _point, bessel_ratio
+
+# Not called here, but bench/spans.py traces this binding and CI's smoke step
+# fails on a missing one; ROADMAP item 1 (one stable kernel name) lets it go.
+from .bessel import log_bessel_i  # noqa: F401
 from .errors import ConvergenceError, DomainError, InternalConsistencyError
 
 _LOG2 = math.log(2.0)
@@ -45,23 +49,11 @@ _REL_TAIL_EPS = 1e-16
 
 # A row l, l', l'' at one point needs r_mu(t), log I_{mu-1}(t) and log I_mu(t),
 # mu = nu/2, but the public functions are called one at a time.  This memo
-# keeps the last few points' triples, keyed by (mu, t).  A miss takes what
-# ratio_and_log_i shares (both logs from one series loop below the series
-# crossover, or from the uniform expansion above it) and calls the
-# module-level kernels for the rest: bessel_ratio wherever the ratio is not
-# shared (a continued fraction), so the l'' check there compares two
-# lineages, and log_bessel_i where nothing is shared.
+# keeps the last few points' triples, keyed by (mu, t); a miss is one call of
+# bessel._point, which picks the band once and answers all three (the band
+# table is in the bessel module docstring).
 @functools.lru_cache(maxsize=2)
 def _bessel_memo(mu: float, t: float) -> tuple[float, float, float]:
-    x = _bessel_argument(t)
-    shared = ratio_and_log_i(mu, x)
-    if shared is None:
-        return bessel_ratio(mu, x), log_bessel_i(mu - 1.0, x), log_bessel_i(mu, x)
-    r, log_i_lower, log_i = shared
-    return (bessel_ratio(mu, x) if r is None else r), log_i_lower, log_i
-
-
-def _bessel_argument(t: float) -> float:
     # x > 0 and lam >= LAMBDA_ZERO are checked, so t = sqrt(lam x) is 0 only by
     # underflow, and infinite only where lam * x is.
     if t == 0.0:
@@ -71,7 +63,7 @@ def _bessel_argument(t: float) -> float:
             f"lam * x must be finite (at most {sys.float_info.max:.4g}), so that the Bessel "
             "argument sqrt(lam x) is finite"
         )
-    return t
+    return _point(mu, t)
 
 
 def _ratio_slope(nu: float, t: float, r: float) -> float:
@@ -252,19 +244,21 @@ def log_density_d2(p: Params, x: float) -> float:
     """Second derivative of the log density, with a built-in self-test.
 
     The returned value is g_nu(t) / x^2 (see :func:`_curvature`), with
-    r = r_{nu/2}(t) as :func:`ncx2shape.bessel.bessel_ratio` computes it.
-    The same quantity is then rebuilt through the slope form
+    r = r_{nu/2}(t) from the point's one kernel call, bit-identical to
+    :func:`ncx2shape.bessel.bessel_ratio`.  The same quantity is then
+    rebuilt through the slope form
 
         (lam+nu-4)/(4x) - 1/4 - l'(x) (l'(x) + 1 - (nu-4)/(2x))
 
     where l' is assembled from r rebuilt as exp(log I_{nu/2} - log I_{nu/2-1}).
     The two forms coincide algebraically, so any disagreement beyond
     rounding signals a defect in the Bessel layer and raises
-    :class:`InternalConsistencyError`.  They are independent lineages at
-    every t >= 1, where r is a continued fraction (Gauss's, then Perron's
-    from t = 30 + nu) and the logs come from the series or the uniform
-    expansion.  Below t = 1, r and both logs come from the same series
-    sums, and the check sees only the arithmetic that follows them.
+    :class:`InternalConsistencyError`.  By the band table in
+    :mod:`ncx2shape.bessel`, they are independent lineages at every t >= 1,
+    where r is a continued fraction (Gauss's, then Perron's from
+    t = 30 + nu) and the logs come from the series or the uniform expansion.
+    Below t = 1, r and both logs come from the same series sums, and the
+    check sees only the arithmetic that follows them.
 
     In the strongly noncentral regime lam/x >> 1 the slope form cancels its
     leading O(lam/(4x)) terms down to an O(1) result, so the comparison

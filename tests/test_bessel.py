@@ -29,11 +29,11 @@ from ncx2shape import (
 from ncx2shape.bessel import (
     _log_i_debye,
     _log_series_lead,
+    _point,
     _ratio_cf,
     _ratio_perron,
     _series_crossover,
     _series_sum,
-    ratio_and_log_i,
 )
 from ncx2shape.density import _ratio_slope
 
@@ -375,6 +375,16 @@ class TestBesselRatio:
         with pytest.raises(DomainError):
             bessel_ratio(1.0, 0.0)
 
+    @pytest.mark.parametrize("mu", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("x", [0.5, 2.0, 100.0])
+    def test_non_finite_order_is_a_domain_error(self, mu, x):
+        # An infinite order used to run all of Gauss's levels and raise
+        # ConvergenceError at x = 2, and to return 0.0 at x = 0.5.
+        with pytest.raises(DomainError, match="finite order"):
+            bessel_ratio(mu, x)
+        with pytest.raises(DomainError, match="finite order"):
+            _point(mu, x)
+
     def test_ratio_eval_consistency(self):
         # bessel_ratio against exp(log I_mu - log I_{mu-1}), two lineages
         for mu in (0.25, 0.5, 1.0, 3.0):
@@ -404,8 +414,13 @@ class TestSeriesRangeAgainstMpmath:
             log_i = mpmath.log(mpmath.besseli(m, mx))
         assert abs(bessel_ratio(mu, x) - ratio) <= 1e-13 * ratio
         assert hybrid_close(log_bessel_i(mu, x), float(log_i), 1e-13)
-        # The density's order mu - 1, in (-1, 0) for small mu; below
-        # mu ~ 1.1e-16 it rounds to -1, outside the domain.
+        # The density's kernel: the same r and log I_mu, and log I_{mu-1}
+        # at the order mu - 1 formed at 40 digits, which it never rounds.
+        r, log_i_lower, log_i_point = _point(mu, x)
+        assert (r, log_i_point) == (bessel_ratio(mu, x), log_bessel_i(mu, x))
+        assert hybrid_close(log_i_lower, _mp_log_i(mu, x, 1), 1e-13)
+        # The order mu - 1, in (-1, 0) for small mu; below mu ~ 1.1e-16 it
+        # rounds to -1, outside the domain.
         below = mu - 1.0
         if below > -1.0:
             with mpmath.workdps(30):
@@ -456,7 +471,7 @@ class TestRatioAboveSeriesRange:
 
 
 class TestSharedKernel:
-    """ratio_and_log_i against bessel_ratio, log_bessel_i and mpmath."""
+    """The density's one-call kernel _point against bessel_ratio, log_bessel_i and mpmath."""
 
     @settings(max_examples=150, deadline=None)
     @given(mu=_floats_log_and_flat(1e-20, 50.0), u=st.floats(min_value=0.0, max_value=1.0))
@@ -468,10 +483,10 @@ class TestSharedKernel:
         # above their series crossovers.  Both logs are the uniform
         # expansion, bit-identical to log_bessel_i of each order wherever
         # that order is a double above -1, and within a few ulp of mpmath
-        # (2 at most in 800 random draws); r is left to bessel_ratio.
+        # (2 at most in 800 random draws); r is Perron's, as in bessel_ratio.
         x = max(_series_crossover(mu - 1.0), _series_crossover(mu)) * 1e4 ** u
-        r, log_i_lower, log_i = ratio_and_log_i(mu, x)
-        assert r is None
+        r, log_i_lower, log_i = _point(mu, x)
+        assert r == bessel_ratio(mu, x)
         assert log_i == log_bessel_i(mu, x)
         if mu - 1.0 > -1.0:
             assert log_i_lower == log_bessel_i(mu - 1.0, x)
@@ -481,10 +496,10 @@ class TestSharedKernel:
     def test_largest_and_infinite_arguments(self):
         x = sys.float_info.max
         for mu in (1e-16, 0.5, 1.0, 50.0):
-            r, log_i_lower, log_i = ratio_and_log_i(mu, x)
-            assert r is None and math.isfinite(log_i_lower) and math.isfinite(log_i)
+            r, log_i_lower, log_i = _point(mu, x)
+            assert r == 1.0 and math.isfinite(log_i_lower) and math.isfinite(log_i)
             with pytest.raises(DomainError, match="finite and > 0"):
-                ratio_and_log_i(mu, math.inf)
+                _point(mu, math.inf)
             # the ratio's limit, not a refusal
             assert bessel_ratio(mu, math.inf) == 1.0
 
@@ -497,8 +512,8 @@ class TestSharedKernel:
         x = 1e-300 ** (1.0 - u) * _series_crossover(mu - 1.0) ** u
         if x >= _series_crossover(mu - 1.0):
             return
-        r, log_i_lower, log_i = ratio_and_log_i(mu, x)
-        assert r == (bessel_ratio(mu, x) if x < 1.0 else None)
+        r, log_i_lower, log_i = _point(mu, x)
+        assert r == bessel_ratio(mu, x)
         if x < _series_crossover(mu):
             assert log_i == log_bessel_i(mu, x)
         else:
@@ -516,6 +531,23 @@ class TestSharedKernel:
             terms = max(abs(log_i_lower), abs((mu - 1.0) * math.log(0.5 * x)), abs(math.lgamma(mu)), 1.0)
             assert abs(log_i_lower - log_bessel_i(mu - 1.0, x)) <= 16.0 * math.ulp(terms)
 
+    @settings(max_examples=150, deadline=None)
+    @given(mu=_floats_log_and_flat(0.5, 50.0).filter(lambda m: m > 0.5),
+           u=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+    @example(mu=math.nextafter(0.5, 1.0), u=0.0)
+    @example(mu=0.75, u=0.5)
+    @example(mu=1.0, u=0.0)
+    @example(mu=50.0, u=0.999)
+    def test_band_between_the_crossovers_is_bit_identical(self, mu, u):
+        # For mu > 1/2 and 30 + 2|mu - 1| <= x < 30 + 2 mu, Gauss's
+        # fraction, the uniform expansion at the order mu - 1 and the series
+        # of I_mu, each as the single kernel gives it.
+        lo, hi = _series_crossover(mu - 1.0), _series_crossover(mu)
+        x = min(lo + u * (hi - lo), math.nextafter(hi, 0.0))
+        if not lo <= x < hi:
+            return
+        assert _point(mu, x) == (bessel_ratio(mu, x), log_bessel_i(mu - 1.0, x), log_bessel_i(mu, x))
+
     def test_series_band_no_farther_from_mpmath(self):
         # A fixed draw of both logs over the series band, where the single
         # kernels can answer: the shared values are no farther from 40-digit
@@ -528,7 +560,7 @@ class TestSharedKernel:
             x = float(rng.choice([rng.uniform(0.0, hi), 10.0 ** rng.uniform(-300.0, math.log10(hi))]))
             if not (0.0 < mu <= 50.0 and 0.0 < x < hi):
                 continue
-            _, log_i_lower, log_i = ratio_and_log_i(mu, x)
+            _, log_i_lower, log_i = _point(mu, x)
             for got, shift in ((log_i_lower, 1), (log_i, 0)):
                 ref = _mp_log_i(mu, x, shift)
                 scale = max(1.0, abs(ref))

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncx2shape import bessel as bessel_module
 from ncx2shape import density as density_module
-from ncx2shape import shape as shape_module
 from ncx2shape import (
     DomainError,
     InternalConsistencyError,
@@ -384,7 +384,7 @@ def cold_memo():
 @pytest.fixture
 def kernel_calls(cold_memo, monkeypatch):
     """Count the density module's kernel calls, memo misses only."""
-    calls = {"bessel_ratio": [], "log_bessel_i": [], "ratio_and_log_i": []}
+    calls = {"_point": [], "bessel_ratio": [], "log_bessel_i": []}
     for name, seen in calls.items():
         original = getattr(density_module, name)
 
@@ -396,12 +396,37 @@ def kernel_calls(cold_memo, monkeypatch):
     return calls
 
 
+@pytest.fixture
+def bessel_sums(monkeypatch):
+    """Count the sums and fractions the kernel calls, by name."""
+    calls = {name: [] for name in ("_series_pair", "_series_sum", "_log_i_debye",
+                                   "_ratio_cf", "_ratio_perron")}
+    for name, seen in calls.items():
+        original = getattr(bessel_module, name)
+
+        def counted(mu, x, original=original, seen=seen):
+            seen.append((mu, x))
+            return original(mu, x)
+
+        monkeypatch.setattr(bessel_module, name, counted)
+    return calls
+
+
+@pytest.fixture
+def bad_ratio(cold_memo, monkeypatch):
+    """Make the kernel's ratio 1e-6 too large, leaving its two log I values alone."""
+    original = density_module._point
+    monkeypatch.setattr(density_module, "_point",
+                        lambda mu, t: (original(mu, t)[0] * (1.0 + 1e-6),) + original(mu, t)[1:])
+
+
 class TestKernelMemo:
-    # Points in each band of the shared kernel: the continued-fraction ratio
-    # with the series logs, the series quotient (t < 1), the uniform
-    # expansion's logs with Perron's ratio (twice), and the band where
-    # nothing is shared (30 + 2|mu - 1| <= t < 30 + 2 mu, 30.5 <= t < 31.5
-    # at mu = 0.75; t = 31 here).
+    # A point in each band of the kernel: Gauss's fraction with the series
+    # logs, the series quotient and logs (t < 1), the uniform expansion's
+    # logs with Perron's fraction (twice), and Gauss's fraction with the
+    # uniform expansion's log I_{mu-1} and the series log I_mu
+    # (30 + 2|mu - 1| <= t < 30 + 2 mu, 30.5 <= t < 31.5 at mu = 0.75;
+    # t = 31 here).
     POINTS = ((Params(1, 5), 2.0), (Params(0.3, 0.7), 0.05), (Params(7.5, 40), 60.0),
               (Params(60, 500), 700.0), (Params(1.5, 30.03125), 32.0))
 
@@ -416,27 +441,37 @@ class TestKernelMemo:
 
     @pytest.mark.parametrize("p,x", POINTS)
     def test_bundle_takes_no_more(self, kernel_calls, p, x):
-        # l''' after the row l, l', l'' adds no kernel call.
-        _four_calls(p, x)
-        assert len(kernel_calls["ratio_and_log_i"]) == 1
-        assert len(kernel_calls["bessel_ratio"]) <= 1
-        assert len(kernel_calls["log_bessel_i"]) <= 2
+        # The row l, l', l'' is one kernel call in every band, and l''' adds
+        # none; nothing calls the single kernels.
+        one_call = [(0.5 * p.nu, math.sqrt(p.lam * x))]
+        log_density(p, x)
+        log_density_d1(p, x)
+        log_density_d2(p, x)
+        assert kernel_calls["_point"] == one_call
+        log_density_d3(p, x)
+        assert kernel_calls == {"_point": one_call, "bessel_ratio": [], "log_bessel_i": []}
 
-    def test_continued_fraction_row_takes_one_ratio_call(self, kernel_calls):
-        # At t = sqrt(10) the ratio is the continued fraction, called through
-        # the density's own binding, and both logs come from the shared series.
-        p = Params(1, 5)
+    def test_continued_fraction_row_takes_one_ratio_call(self, kernel_calls, bessel_sums):
+        # At t = sqrt(10) the row's one kernel call takes the ratio from
+        # Gauss's fraction once, and both logs from one series loop.
+        p, t = Params(1, 5), math.sqrt(10.0)
         log_density(p, 2.0)
         log_density_d1(p, 2.0)
         log_density_d2(p, 2.0)
-        assert kernel_calls["bessel_ratio"] == [(0.5, math.sqrt(10.0))]
-        assert kernel_calls["log_bessel_i"] == []
+        assert kernel_calls["_point"] == [(0.5, t)]
+        assert bessel_sums == {"_series_pair": [(0.5, t)], "_series_sum": [], "_log_i_debye": [],
+                               "_ratio_cf": [(0.5, t)], "_ratio_perron": []}
 
-    def test_unshared_row_takes_the_single_kernels(self, kernel_calls):
+    def test_unshared_row_takes_the_single_kernels(self, kernel_calls, bessel_sums):
+        # Between the crossovers the three values share no sum: Gauss's
+        # fraction, the uniform expansion at the order |mu - 1| and the
+        # series of I_mu, once each, in the row's one kernel call.
         p, x = self.POINTS[-1]
         _four_calls(p, x)
-        assert len(kernel_calls["bessel_ratio"]) == 1
-        assert sorted(mu for mu, _ in kernel_calls["log_bessel_i"]) == [-0.25, 0.75]
+        assert kernel_calls["_point"] == [(0.75, 31.0)]
+        assert bessel_sums == {"_series_pair": [], "_series_sum": [(0.75, 31.0)],
+                               "_log_i_debye": [(0.25, 31.0)], "_ratio_cf": [(0.75, 31.0)],
+                               "_ratio_perron": []}
 
     @pytest.mark.parametrize("p,x", POINTS)
     def test_values_equal_cold_calls(self, p, x):
@@ -452,15 +487,10 @@ class TestKernelMemo:
                                     lambda p, x: inflection_point(p)],
                              ids=["log_density_d2", "log_density_d3", "four_calls",
                                   "inflection_point"])
-    def test_self_check_still_sees_a_bad_ratio(self, cold_memo, monkeypatch, request, fn):
+    def test_self_check_still_sees_a_bad_ratio(self, bad_ratio, fn):
         # A wrong ratio cached by l' must still fail the l'' check, whose
         # second lineage rebuilds the ratio from log I values; l''', the
         # row of four calls and the inflection point each run that check.
-        # A tau solved on the bad ratio must not outlive the test.
-        request.addfinalizer(shape_module._critical_lambda_cached.cache_clear)
-        original = density_module.bessel_ratio
-        monkeypatch.setattr(density_module, "bessel_ratio",
-                            lambda mu, t: original(mu, t) * (1.0 + 1e-6))
         p = Params(1, 5)
         log_density_d1(p, 2.0)
         with pytest.raises(InternalConsistencyError):
@@ -468,16 +498,19 @@ class TestKernelMemo:
 
     @pytest.mark.parametrize("fn", [log_density_d2, log_density_d3, _four_calls])
     @pytest.mark.parametrize("p,x", [(Params(7.5, 40), 60.0), (Params(60, 500), 700.0)])
-    def test_self_check_sees_a_bad_ratio_above_the_crossover(self, cold_memo, monkeypatch,
-                                                             fn, p, x):
+    def test_self_check_sees_a_bad_ratio_above_the_crossover(self, bad_ratio, fn, p, x):
         # From t = 30 + nu the ratio is Perron's fraction and both logs the
         # uniform expansion: two lineages, so a wrong ratio fails there too.
-        original = density_module.bessel_ratio
-        monkeypatch.setattr(density_module, "bessel_ratio",
-                            lambda mu, t: original(mu, t) * (1.0 + 1e-6))
         log_density_d1(p, x)
         with pytest.raises(InternalConsistencyError):
             fn(p, x)
+
+    @pytest.mark.parametrize("p,x", POINTS)
+    def test_self_check_sees_a_bad_ratio_in_every_band(self, bad_ratio, p, x):
+        # Below t = 1 the ratio and the logs share their series sums, so
+        # there the check sees only a defect in what follows them, as here.
+        with pytest.raises(InternalConsistencyError):
+            log_density_d2(p, x)
 
     def test_memo_is_bounded(self, cold_memo):
         p = Params(3, 10)
