@@ -23,7 +23,10 @@ so the slope has the sign of h.  The same Bessel ratio r and its
 derivative r' give h' = s' - 2t / lam and h'' = s'' - 2 / lam, with
 s' = t + (2 - nu) r - t r^2 and s'' = 1 + (2 - nu) r' - r^2 - 2 t r r', and
 the root-finder shared with :mod:`ncx2shape.shape` takes Halley steps on
-them.  It narrows t to relative width ``tol / 2`` and returns x = t^2 / lam, so
+them.  As for tau, r comes from the kernel only for a point beyond the
+continuation radius of the solve's last kernel point, and is continued
+from that point otherwise (see :mod:`ncx2shape.shape`).  It narrows t to
+relative width ``tol / 2`` and returns x = t^2 / lam, so
 ``tol`` is relative: each root lies within about ``tol * x / 2`` of a sign
 change of the slope.  It returns the closing step's point, usually far
 closer than that: at the default ``tol``, on the inputs the test suite
@@ -43,16 +46,21 @@ Each solve starts near its root.  The antimode starts from t_inf(nu), the
 root of s(t) = 2 - nu, which it approaches as lam -> inf (a stored fit),
 moved by a quadratic correction for finite lam that needs no Bessel call
 (:func:`_antimode_start`); its error falls like lam^-3.  The mode starts
-at lam + nu - 3 + (nu - 3) / (2 lam) below nu = 2 and at the midpoint of
-the bounds above it.  A start that is NaN or outside the bracket gives way
-to the midpoint, and the closing pair still proves the bracket.
+at lam + nu - 3 + (nu - 3) / (2 lam) below nu = 2; at nu = 2 with lam <= 4
+at the reversed series of lam = t I_0(t) / I_1(t) in lam - 2 (within 4.1e-5
+of the mode, where the midpoint lam - 1 is 4.7 times the mode at
+lam = 2.1); and at the midpoint of the bounds otherwise.  A start that is
+NaN or outside the bracket gives way to the midpoint, and the closing pair
+still proves the bracket.
 
 For nu >= 2 the bracket is the proven bounds, padded (at nu = 5,
 lam = 5.96e-8 the mode is 6e-16 above its lower bound, where h rounds to
-0), and no end is evaluated either.  Only where the padded lower bound is
-not above 1e-12 (nu within ~1e-6 of 2) is the lower end clamped to 1e-12
-and checked on h; below the mode it moves to half a positive lower bound,
-and a wrong sign there raises :class:`InternalConsistencyError`.
+0), and no end is evaluated either.  The lower end is the padded
+(nu - 2)(1 + lam/nu), or, where that is not above 1e-12 (nu within ~1e-6
+of 2), the padded binding lower bound (lam + nu - 4 above lam ~ 2).  Only
+where that too is not above 1e-12 is the lower end clamped to 1e-12 and
+checked on h; below the mode it moves to half a positive lower bound, and
+a wrong sign there raises :class:`InternalConsistencyError`.
 """
 
 from __future__ import annotations
@@ -61,7 +69,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .density import LAMBDA_ZERO, Params, _ratio_slope, _ratio_terms
+from .density import (LAMBDA_ZERO, Params, _CONTINUE_RADIUS, _CONTINUE_UNIT, _ratio_slope, _ratio_taylor,
+                      _ratio_terms)
 from .errors import DomainError, InternalConsistencyError
 from .shape import _bisect, _check_tol, _decreasing, _horner, critical_lambda
 
@@ -75,6 +84,16 @@ BOUND_NU_GT_3 = "nu_gt_3"
 BOUND_BIMODAL = "bimodal"
 
 _BRACKET_PAD = 1e-6
+
+# At nu = 2 the mode x = t^2 / lam solves lam = G(t) = t I_0(t) / I_1(t),
+# and G = 2 + y - y^2/6 + y^3/24 - y^4/90 + 13 y^5/4320 - ... in y = t^2 / 4
+# (the quotient of the two power series).  Reversed, that is y = e P(e),
+# e = lam - 2, with P the polynomial below (highest power first), and
+# x = 4 y / lam.  Within 4.1e-5 relative of the 40-digit mpmath mode on
+# lam in (2, 4] (2.4e-7 at lam = 3; tested); the series fits lam - 2 small,
+# where the midpoint of the bounds does not (mode 0.19 against lam - 1 = 1.1
+# at lam = 2.1).
+_NU_TWO_Y = (239 / 43545600, 1 / 120960, -1 / 5184, -1 / 2160, 1 / 72, 1 / 6, 1.0)
 
 # t_inf(nu) / (nu^(1/4) (2 - nu)^(1/2)), t_inf being the root of
 # s(t) = 2 - nu, as polynomials in w, highest power first: w = nu^(1/2) below
@@ -148,8 +167,18 @@ def antimode(p: Params, tol: float = DEFAULT_TOL) -> float | None:
 def _slope_in_t(nu: float, lam: float, sign: float):
     """``t -> sign * (h(t), h'(t), h''(t))``, h(t) = 2x l'(x) at x = t (t / lam)."""
     # t (t / lam), not t * t / lam: at lam = 1e-300 the product t * t is subnormal.
+    # The last kernel point and its continuation reach (see shape's g).
+    t0 = r0 = math.nan
+    reach = 0.0
+
     def h(t: float) -> tuple[float, float, float]:
-        r, dr = _ratio_terms(nu, t)
+        nonlocal t0, r0, reach
+        if -reach <= t - t0 <= reach:
+            r = _ratio_taylor(nu, t0, r0, t)
+            dr = _ratio_slope(nu, t, r)
+        else:
+            r, dr = _ratio_terms(nu, t)
+            t0, r0, reach = t, r, _CONTINUE_RADIUS * (t if t < _CONTINUE_UNIT else _CONTINUE_UNIT)
         value = t * r + (nu - 2.0) - t * (t / lam)
         slope = t + (2.0 - nu) * r - t * r * r - 2.0 * t / lam
         curve = 1.0 + (2.0 - nu) * dr - r * r - 2.0 * t * r * dr - 2.0 / lam
@@ -241,9 +270,13 @@ def mode_report(p: Params, tol: float = DEFAULT_TOL) -> ModeReport:
         concave = (nu - 2.0) * (1.0 + lam / nu)
         lo = concave - _BRACKET_PAD * max(1.0, concave)
         if not lo > 1e-12:
-            # nu within ~1e-6 of 2.  The clamp can lie above the mode, half a
-            # positive lower bound cannot (lam + nu - 4 rounds to 0 at nu = 2,
-            # lam = 2 + 4e-16); the lower end is checked here only.
+            # nu within ~1e-6 of 2: the binding bound, padded alike, which is
+            # lam + nu - 4 where that is the larger.
+            lo = lower - _BRACKET_PAD * max(1.0, lower)
+        if not lo > 1e-12:
+            # lam + nu - 4 within ~1e-6 of 0 too.  The clamp can lie above the
+            # mode, half a positive lower bound cannot (lam + nu - 4 rounds to
+            # 0 at nu = 2, lam = 2 + 4e-16); the lower end is checked here only.
             lo = 1e-12
             if not slope(math.sqrt(lam * lo))[0] > 0.0:
                 lo = 0.5 * max(concave, (lam - 2.0) + (nu - 2.0))
@@ -253,8 +286,13 @@ def mode_report(p: Params, tol: float = DEFAULT_TOL) -> ModeReport:
                         f"interior mode outside its bounds [{lower!r}, {upper!r}] at nu={nu}, "
                         f"lam={lam}: 2x l'(x) is {h_lo!r} at x={lo!r}"
                     )
+        if nu == 2.0 and lam <= 4.0:
+            e = lam - 2.0
+            start = 4.0 * e * _horner(_NU_TWO_Y, e) / lam
+        else:
+            start = 0.5 * (lower + upper)
         t = _bisect(slope, math.sqrt(lam * lo), math.sqrt(lam * x_hi), 0.0, rtol,
-                    math.sqrt(lam * 0.5 * (lower + upper)))[0]
+                    math.sqrt(lam * start))[0]
         mode = t * (t / lam)
     width = tol * max(1.0, upper)
     if not lower - width <= mode <= upper + width:

@@ -15,16 +15,24 @@ F(t) = t^2 / (t r(t) + nu - 2).  The paper's indicator is a cross-check.
 Every root of the shape problem is a root in t of a function of
 s(t) = t r_{nu/2}(t): g_nu for tau, and 2x l'(x) = s + nu - 2 - t^2 / lam
 for the interior mode and the antimode (see :mod:`ncx2shape.modes`).
-Each hands the solver f, f' and f'' from one Bessel ratio and its
-derivative r', through the kernels in :mod:`ncx2shape.density`.  Every
-solver finds a single sign change the same way: :func:`_bisect` narrows a
-bracket by Halley steps, which it forms itself, kept inside it, falling
-back to halving, until ``hi - lo <= max(xtol, rtol * hi)``.  Each solve
-starts near its root (tau from a stored fit, :func:`_tau_start`), and a
-start within a quarter of the stop width ends it in two evaluations.  No
-solver searches for a bracket, and no end is evaluated: each end is a
-theorem.  Only the nu >= 2 mode, for nu within ~1e-6 of 2, checks its
-clamped lower end (see :mod:`ncx2shape.modes`).
+Each hands the solver f, f' and f'' from one Bessel ratio r and r', r''
+from the Riccati equation r' = 1 - (nu - 1) r / t - r^2.  A point that
+moves farther than 2^-16 min(t, 4096) from the solve's last kernel point
+calls the kernel (:func:`ncx2shape.density._ratio_terms`) and becomes the
+new anchor; a nearer one, as the closing pair and the last short step
+are, continues the anchor's r by the cubic Taylor polynomial of that
+equation (:func:`ncx2shape.density._ratio_taylor`), within 2 ulp of the
+kernel's own accuracy.  So a root costs its evaluations of f, but a kernel
+call only for each move beyond that radius.
+Every solver finds a single sign change the same way: :func:`_bisect`
+narrows a bracket by Halley steps, which it forms itself, kept inside it,
+falling back to halving, until ``hi - lo <= max(xtol, rtol * hi)``.  Each
+solve starts near its root (tau from a stored fit, :func:`_tau_start`), and
+a start within a quarter of the stop width ends it in two evaluations, one
+kernel call.  No solver searches for a bracket, and no end is evaluated:
+each end is a theorem.  Only the nu >= 2 mode, for nu within ~1e-6 of 2 and
+lam + nu - 4 below ~1e-6, checks its clamped lower end (see
+:mod:`ncx2shape.modes`).
 """
 
 from __future__ import annotations
@@ -34,7 +42,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .bessel import bessel_ratio
-from .density import LAMBDA_ZERO, Params, _curvature, _curvature_slope, _ratio_terms, log_density_d2
+from .density import (LAMBDA_ZERO, Params, _CONTINUE_RADIUS, _CONTINUE_UNIT, _curvature, _curvature_slope,
+                      _ratio_slope, _ratio_taylor, _ratio_terms, log_density_d2)
 from .errors import ConvergenceError, DomainError
 
 DEFAULT_TOL = 1e-8
@@ -76,9 +85,10 @@ class CriticalLambda:
     """Critical noncentrality for 0 < nu < 2, with solver metadata.
 
     ``tau`` is the zero of g_nu (the inflection point is ``tau**2 / lam``);
-    ``iterations`` counts the evaluations of g_nu, one Bessel ratio each,
-    that solved tau to relative width ``tol`` (the stored start, Halley
-    steps, halvings and the closing pair: 2 at the default ``tol``).
+    ``iterations`` counts the evaluations of g_nu that solved tau to
+    relative width ``tol`` (the stored start, Halley steps, halvings and the
+    closing pair: 2 at the default ``tol``, one Bessel kernel call, since the
+    closing pair continues the start's ratio).
     ``lambda_nu`` reuses the ratio of the evaluated point nearest ``tau``
     and costs no further evaluation.
     """
@@ -249,9 +259,20 @@ def _critical_lambda_cached(nu: float, tol: float) -> CriticalLambda:
             "the critical noncentrality is solved to its tolerance"
         )
     seen = []
+    # The last kernel point, and how far from it r is continued instead of
+    # calling the kernel (density._ratio_taylor; the closing pair and a last
+    # short step land within that reach).
+    t0 = r0 = math.nan
+    reach = 0.0
 
     def g(t: float) -> tuple[float, float, float]:
-        r, dr = _ratio_terms(nu, t)
+        nonlocal t0, r0, reach
+        if -reach <= t - t0 <= reach:
+            r = _ratio_taylor(nu, t0, r0, t)
+            dr = _ratio_slope(nu, t, r)
+        else:
+            r, dr = _ratio_terms(nu, t)
+            t0, r0, reach = t, r, _CONTINUE_RADIUS * (t if t < _CONTINUE_UNIT else _CONTINUE_UNIT)
         seen.append((t, r))
         # g'' from the same r, with r'' = -(nu - 1) (r'/t - r/t^2) - 2 r r'.
         d2r = -(nu - 1.0) * (dr - r / t) / t - 2.0 * r * dr

@@ -35,7 +35,13 @@ from ncx2shape.bessel import (
     _series_crossover,
     _series_sum,
 )
-from ncx2shape.density import _ratio_slope
+from ncx2shape.density import (
+    _CONTINUE_RADIUS,
+    _CONTINUE_UNIT,
+    _ratio_slope,
+    _ratio_taylor,
+    _ratio_terms,
+)
 
 # mpmath references
 I_HALF_AT_1 = 0.9376748882454876
@@ -588,6 +594,77 @@ class TestRatioDerivative:
         h = 1e-6 * max(1.0, x)
         fd = finite_difference(lambda y: bessel_ratio(mu, y), x, 1, h)
         assert hybrid_close(bessel_ratio_derivative(mu, x), fd, 1e-6)
+
+
+def _mp_ratio_hyp(mu, x):
+    """r_mu(x) = (x / (2 mu)) 0F1(; mu + 1; x^2/4) / 0F1(; mu; x^2/4) at 40 digits.
+
+    The hypergeometric form stays finite at x = 1e-300 with mu = 5e-17, where
+    the quotient of besseli values does not converge, and at x = 1e300.
+    """
+    with mpmath.workdps(40):
+        m, mx = mpmath.mpf(mu), mpmath.mpf(x)
+        z = mx * mx / 4
+        return float(mx / (2 * m) * mpmath.hyp0f1(m + 1, z) / mpmath.hyp0f1(m, z))
+
+
+class TestRatioContinuation:
+    """The solvers' Riccati continuation of r from the last kernel point."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(mu=_floats_log_and_flat(5e-17, 50.0), t0=_floats_log_and_flat(1e-300, 1e300),
+           side=st.sampled_from((-1.0, 1.0)))
+    # lam = 1e-300 and 1.6e-276 at nu = 3 (t0 = sqrt(lam (nu - 2))): a
+    # Taylor step divided by t0^3 underflowed to a zero division there.
+    @example(mu=1.5, t0=1e-150, side=1.0)
+    @example(mu=1.5, t0=1.2649110640673517e-138, side=-1.0)
+    # (2, 2 + 4.4e-16): the mode, 8.9e-16, and the clamped lower end, 1e-12.
+    @example(mu=1.0, t0=4.2e-8, side=1.0)
+    @example(mu=1.0, t0=1.4142135623730951e-6, side=-1.0)
+    # The seams of the step's unit and of the kernel's bands.
+    @example(mu=5e-17, t0=4096.0, side=-1.0)
+    @example(mu=50.0, t0=4096.0, side=1.0)
+    @example(mu=50.0, t0=130.0, side=1.0)
+    def test_edge_of_the_radius_within_two_ulp(self, mu, t0, side):
+        # At the farthest accepted point the continued r adds at most 2 ulp
+        # to the kernel's own error at the anchor (1.0 ulp seen over 3000
+        # random draws), against 40-digit mpmath and against bessel_ratio.
+        nu = 2.0 * mu
+        t = t0 + side * _CONTINUE_RADIUS * min(t0, _CONTINUE_UNIT)
+        r0 = bessel_ratio(mu, t0)
+        got = _ratio_taylor(nu, t0, r0, t)
+        anchor_err = abs(r0 - _mp_ratio_hyp(mu, t0))
+        exact = _mp_ratio_hyp(mu, t)
+        assert abs(got - exact) <= anchor_err + 2.0 * math.ulp(exact)
+        kernel = bessel_ratio(mu, t)
+        assert abs(got - kernel) <= anchor_err + abs(kernel - exact) + 2.0 * math.ulp(exact)
+
+    @pytest.mark.parametrize("t0", [1e-150, 0.3, 2.0, 1e4, 1e8])
+    def test_kernel_only_beyond_the_radius(self, monkeypatch, t0):
+        # In a solver closure the anchor is always a kernel point: a continued
+        # point does not move it, so a walk of steps each inside the radius
+        # calls the kernel again once it is farther than the radius from the
+        # anchor.  The value is the continued ratio; h' and h'' use its r'.
+        import ncx2shape.modes as modes_module
+
+        calls = []
+
+        def kernel(nu, t):
+            calls.append(t)
+            return _ratio_terms(nu, t)
+
+        monkeypatch.setattr(modes_module, "_ratio_terms", kernel)
+        nu, lam = 3.0, 5.0
+        h = modes_module._slope_in_t(nu, lam, 1.0)
+        step = 0.6 * _CONTINUE_RADIUS * min(t0, _CONTINUE_UNIT)
+        h(t0)
+        value = h(t0 + step)[0]
+        assert calls == [t0]
+        r = _ratio_taylor(nu, t0, _ratio_terms(nu, t0)[0], t0 + step)
+        t = t0 + step
+        assert value == t * r + (nu - 2.0) - t * (t / lam)
+        h(t0 + 2.0 * step)
+        assert calls == [t0, t0 + 2.0 * step]
 
 
 class TestRatioAsymptotic:

@@ -423,25 +423,30 @@ class TestRootsAgainstMpmath:
         # bisection made 101 ratio calls here.
         rep, calls = _cold_ratio_calls(monkeypatch, Params(nu=1, lam=5))
         assert rep.interior_mode is not None and rep.antimode is not None
-        assert calls <= 15
+        assert calls <= 6
 
     def test_cold_log_concave_report_ratio_calls(self, monkeypatch):
-        # The mode of (4, 5); its padded bracket ends are not evaluated.
+        # The mode of (4, 5); its padded bracket ends are not evaluated.  The
+        # start and two Halley steps call the kernel (the last step moves
+        # 2.1e-5 relative, beyond the continuation radius); the closing pair
+        # continues the last one's ratio.
         rep, calls = _cold_ratio_calls(monkeypatch, Params(nu=4, lam=5))
         assert rep.interior_mode is not None
-        assert calls <= 4
+        assert calls <= 3
 
     def test_classify_and_report_ratio_call_count(self, monkeypatch):
         # Pinned Bessel ratio count of classify + mode_report over a fixed
         # list, from cold caches: one tau solve per distinct nu < 2 (the
-        # second (1, 5) reuses it), the mode and antimode solves, and one
-        # lower-end check at nu = 2 and 2 + 1e-7.
+        # second (1, 5) reuses it) and the mode and antimode solves, whose
+        # points near the last kernel point continue its ratio.  No lower end
+        # is checked: at nu = 2 and 2 + 1e-7 the bracket starts at the padded
+        # lam + nu - 4.
         calls = _count_ratio_calls(monkeypatch)
         for nu, lam in CALL_COUNT_CASES:
             p = Params(nu, lam)
             classify(p)
             mode_report(p)
-        assert len(calls) == 60
+        assert len(calls) == 32
 
     def test_evaluations_per_root(self, monkeypatch):
         # Mean evaluations of f per root over a fixed list, caches cold: tau
@@ -495,6 +500,49 @@ class TestRootsAgainstMpmath:
                 math.sqrt(lam * (upper + 1e-6 * max(1.0, upper))))
         assert seen
         assert all(ends[0] < t < ends[1] for t in seen)
+
+    @pytest.mark.parametrize("nu, lam", [(3.0, 1.6e-276), (3.0, 1e-300), (2.5, 1e-250)])
+    def test_continued_ratio_at_tiny_lam(self, nu, lam):
+        # t ~ 1e-138 and below: a continuation divided by t^3 raised
+        # ZeroDivisionError here.
+        tol = 1e-10
+        x = mode_report(Params(nu, lam), tol).interior_mode
+        assert _mp_slope(nu, lam, x - tol * x) > 0 > _mp_slope(nu, lam, x + tol * x)
+
+    def test_nu_two_start_against_mpmath(self):
+        # The reversed series start at nu = 2 is within 4.1e-5 of the mode on
+        # lam in (2, 4]; the midpoint of the bounds, lam - 1, is 4.7x the mode
+        # at lam = 2.1.
+        for lam in (2.0 + 1e-9, 2.001, 2.1, 2.5, 3.0, 3.5, 4.0):
+            e = lam - 2.0
+            start = 4.0 * e * ncx2shape.modes._horner(ncx2shape.modes._NU_TWO_Y, e) / lam
+            with mpmath.workdps(40):
+                root = _mp_root(2.0, lam, start)
+            assert abs(start - root) <= 4.1e-5 * root
+
+    def test_nu_two_mode_evaluations(self, monkeypatch):
+        # Each nu = 2 mode on lam in (2, 4] takes at most 3 evaluations of h
+        # (5.19 on average on the modes-sweep draws from the midpoint start),
+        # no end is evaluated above lam = 2 + 1e-6, and each root is within
+        # tol of mpmath's.
+        solve = shape_module._bisect
+        evals = []
+
+        def counted(*args):
+            root, n = solve(*args)
+            evals.append(n)
+            return root, n
+
+        monkeypatch.setattr(ncx2shape.modes, "_bisect", counted)
+        calls = _count_ratio_calls(monkeypatch)
+        tol = 1e-10
+        lams = [2.0 + 2.0 * (k + 0.5) / 40 for k in range(40)]
+        for lam in lams:
+            x = mode_report(Params(2.0, lam), tol).interior_mode
+            assert _mp_slope(2.0, lam, x - tol * x) > 0 > _mp_slope(2.0, lam, x + tol * x)
+        assert max(evals) == 3
+        assert sum(evals) / len(evals) == 2.85
+        assert len(calls) <= sum(evals)
 
     def test_corner_just_above_two_still_raises(self):
         # At (2, 2 + 4.4e-16) the mode, 8.9e-16, is the size of the rounding
