@@ -71,16 +71,11 @@ def _ratio_slope(nu: float, t: float, r: float) -> float:
     return 1.0 - (nu - 1.0) * r / t - r * r
 
 
-def _ratio_terms(nu: float, t: float) -> tuple[float, float]:
-    """r = r_{nu/2}(t), from one uncached Bessel ratio, and r'."""
-    r = bessel_ratio(0.5 * nu, t)
-    return r, _ratio_slope(nu, t, r)
-
-
 # A root solve's closing pair and last short step land within ~1e-8 relative
-# of a point it has just evaluated.  There r is continued from that point,
-# (t0, r0), by the Riccati equation r' = 1 - (nu - 1) r / t - r^2 (DLMF
-# 10.29.2), when |t - t0| <= _CONTINUE_RADIUS * min(t0, _CONTINUE_UNIT):
+# of a point it has just evaluated.  There _ratio_at continues r from the
+# solve's last kernel point, (t0, r0), by the Riccati equation
+# r' = 1 - (nu - 1) r / t - r^2 (DLMF 10.29.2), when
+# |t - t0| <= _CONTINUE_RADIUS * min(t0, _CONTINUE_UNIT):
 # * Truncation.  r_mu(z) = (z / (2 mu)) Sa(z^2) / Sb(z^2) is meromorphic,
 #   with poles at the zeros of I_{mu-1}, which lie on the imaginary axis for
 #   mu > 0 (DLMF 10.21(i) and 10.27.6).  So r is analytic on the disc
@@ -107,22 +102,34 @@ _CONTINUE_RADIUS = 2.0 ** -16
 _CONTINUE_UNIT = 1.0 / (16.0 * _CONTINUE_RADIUS)
 
 
-def _ratio_taylor(nu: float, t0: float, r0: float, t: float) -> float:
-    """r_{nu/2}(t) from r0 = r_{nu/2}(t0), by the cubic Taylor polynomial of the Riccati equation.
+def _ratio_at(nu: float, t: float, anchor: list) -> tuple[float, float]:
+    """r = r_{nu/2}(t) and r', given a root solve's ``anchor`` = [t0, r0, reach].
 
-    With v = (t - t0) / scale, scale = min(t0, _CONTINUE_UNIT) and
-    big = t0 / scale, r solves dr/dv = scale (1 - r^2) - (nu - 1) r / (big + v);
-    b1, b2 and b3 are its Taylor coefficients at v = 0.
+    Within ``reach`` of the last kernel point t0, r continues r0 by the cubic
+    Taylor polynomial of the Riccati equation: with v = (t - t0) / scale,
+    scale = min(t0, _CONTINUE_UNIT) and big = t0 / scale, r solves
+    dr/dv = scale (1 - r^2) - (nu - 1) r / (big + v), and b1, b2 and b3 are
+    its Taylor coefficients at v = 0.  Farther away, r is one uncached Bessel
+    ratio, and (t, r, its reach) replace the anchor in place.  A solve starts
+    from [nan, nan, 0.0], which no point is within reach of.
     """
-    a = nu - 1.0
-    scale = t0 if t0 < _CONTINUE_UNIT else _CONTINUE_UNIT
-    big = t0 / scale
-    v = (t - t0) / scale
-    b1 = scale * (1.0 - r0 * r0) - a * r0 / big
-    c = 2.0 * scale * r0 + a / big
-    b2 = 0.5 * (a * r0 / (big * big) - c * b1)
-    b3 = (a * (b1 - r0 / big) / (big * big) - scale * b1 * b1 - c * b2) / 3.0
-    return r0 + v * (b1 + v * (b2 + v * b3))
+    t0, r0, reach = anchor
+    if -reach <= t - t0 <= reach:
+        a = nu - 1.0
+        scale = t0 if t0 < _CONTINUE_UNIT else _CONTINUE_UNIT
+        big = t0 / scale
+        v = (t - t0) / scale
+        b1 = scale * (1.0 - r0 * r0) - a * r0 / big
+        c = 2.0 * scale * r0 + a / big
+        b2 = 0.5 * (a * r0 / (big * big) - c * b1)
+        b3 = (a * (b1 - r0 / big) / (big * big) - scale * b1 * b1 - c * b2) / 3.0
+        r = r0 + v * (b1 + v * (b2 + v * b3))
+    else:
+        r = bessel_ratio(0.5 * nu, t)
+        anchor[0] = t
+        anchor[1] = r
+        anchor[2] = _CONTINUE_RADIUS * (t if t < _CONTINUE_UNIT else _CONTINUE_UNIT)
+    return r, _ratio_slope(nu, t, r)
 
 
 def _curvature(nu: float, t: float, r: float) -> float:

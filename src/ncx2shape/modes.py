@@ -23,10 +23,11 @@ so the slope has the sign of h.  The same Bessel ratio r and its
 derivative r' give h' = s' - 2t / lam and h'' = s'' - 2 / lam, with
 s' = t + (2 - nu) r - t r^2 and s'' = 1 + (2 - nu) r' - r^2 - 2 t r r', and
 the root-finder shared with :mod:`ncx2shape.shape` takes Halley steps on
-them.  As for tau, r comes from the kernel only for a point beyond the
-continuation radius of the solve's last kernel point, and is continued
-from that point otherwise (see :mod:`ncx2shape.shape`).  It narrows t to
-relative width ``tol / 2`` and returns x = t^2 / lam, so
+them.  As for tau, r and r' come from :func:`ncx2shape.density._ratio_at`:
+from the kernel only for a point beyond the continuation radius of the
+solve's last kernel point, continued from that point otherwise (see
+:mod:`ncx2shape.shape`).  The root-finder narrows t to relative width
+``tol / 2`` and returns x = t^2 / lam, so
 ``tol`` is relative: each root lies within about ``tol * x / 2`` of a sign
 change of the slope.  It returns the closing step's point, usually far
 closer than that: at the default ``tol``, on the inputs the test suite
@@ -69,8 +70,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .density import (LAMBDA_ZERO, Params, _CONTINUE_RADIUS, _CONTINUE_UNIT, _ratio_slope, _ratio_taylor,
-                      _ratio_terms)
+from .density import LAMBDA_ZERO, Params, _ratio_at, _ratio_slope
 from .errors import DomainError, InternalConsistencyError
 from .shape import _bisect, _check_tol, _decreasing, _horner, critical_lambda
 
@@ -167,18 +167,11 @@ def antimode(p: Params, tol: float = DEFAULT_TOL) -> float | None:
 def _slope_in_t(nu: float, lam: float, sign: float):
     """``t -> sign * (h(t), h'(t), h''(t))``, h(t) = 2x l'(x) at x = t (t / lam)."""
     # t (t / lam), not t * t / lam: at lam = 1e-300 the product t * t is subnormal.
-    # The last kernel point and its continuation reach (see shape's g).
-    t0 = r0 = math.nan
-    reach = 0.0
+    # The last kernel point [t0, r0, reach] (see density._ratio_at).
+    anchor = [math.nan, math.nan, 0.0]
 
     def h(t: float) -> tuple[float, float, float]:
-        nonlocal t0, r0, reach
-        if -reach <= t - t0 <= reach:
-            r = _ratio_taylor(nu, t0, r0, t)
-            dr = _ratio_slope(nu, t, r)
-        else:
-            r, dr = _ratio_terms(nu, t)
-            t0, r0, reach = t, r, _CONTINUE_RADIUS * (t if t < _CONTINUE_UNIT else _CONTINUE_UNIT)
+        r, dr = _ratio_at(nu, t, anchor)
         value = t * r + (nu - 2.0) - t * (t / lam)
         slope = t + (2.0 - nu) * r - t * r * r - 2.0 * t / lam
         curve = 1.0 + (2.0 - nu) * dr - r * r - 2.0 * t * r * dr - 2.0 / lam
@@ -260,10 +253,10 @@ def mode_report(p: Params, tol: float = DEFAULT_TOL) -> ModeReport:
         tau = solved.tau
         # The mode lies just below lam + nu - 3 (by about (3 - nu) / (2 lam)).
         start = lam + nu - 3.0 + (nu - 3.0) / (2.0 * lam)
-        t = _bisect(slope, tau, math.sqrt(lam * x_hi), 0.0, rtol,
+        t = _bisect(slope, tau, math.sqrt(lam * x_hi), rtol,
                     math.sqrt(lam * start) if lam * start > tau * tau else None)[0]
         mode = t * (t / lam)
-        t = _bisect(_slope_in_t(nu, lam, -1.0), math.sqrt(nu * (2.0 - nu)), tau, 0.0, rtol,
+        t = _bisect(_slope_in_t(nu, lam, -1.0), math.sqrt(nu * (2.0 - nu)), tau, rtol,
                     _antimode_start(nu, lam))[0]
         anti = t * (t / lam)
     else:
@@ -291,8 +284,7 @@ def mode_report(p: Params, tol: float = DEFAULT_TOL) -> ModeReport:
             start = 4.0 * e * _horner(_NU_TWO_Y, e) / lam
         else:
             start = 0.5 * (lower + upper)
-        t = _bisect(slope, math.sqrt(lam * lo), math.sqrt(lam * x_hi), 0.0, rtol,
-                    math.sqrt(lam * start))[0]
+        t = _bisect(slope, math.sqrt(lam * lo), math.sqrt(lam * x_hi), rtol, math.sqrt(lam * start))[0]
         mode = t * (t / lam)
     width = tol * max(1.0, upper)
     if not lower - width <= mode <= upper + width:

@@ -16,17 +16,17 @@ Every root of the shape problem is a root in t of a function of
 s(t) = t r_{nu/2}(t): g_nu for tau, and 2x l'(x) = s + nu - 2 - t^2 / lam
 for the interior mode and the antimode (see :mod:`ncx2shape.modes`).
 Each hands the solver f, f' and f'' from one Bessel ratio r and r', r''
-from the Riccati equation r' = 1 - (nu - 1) r / t - r^2.  A point that
-moves farther than 2^-16 min(t, 4096) from the solve's last kernel point
-calls the kernel (:func:`ncx2shape.density._ratio_terms`) and becomes the
-new anchor; a nearer one, as the closing pair and the last short step
-are, continues the anchor's r by the cubic Taylor polynomial of that
-equation (:func:`ncx2shape.density._ratio_taylor`), within 2 ulp of the
-kernel's own accuracy.  So a root costs its evaluations of f, but a kernel
-call only for each move beyond that radius.
+from the Riccati equation r' = 1 - (nu - 1) r / t - r^2, all through
+:func:`ncx2shape.density._ratio_at` and the solve's anchor, its last kernel
+point.  A point that moves farther than 2^-16 min(t, 4096) from the anchor
+calls the kernel and becomes the new anchor; a nearer one, as the closing
+pair and the last short step are, continues the anchor's r by the cubic
+Taylor polynomial of that equation, within 2 ulp of the kernel's own
+accuracy.  So a root costs its evaluations of f, but a kernel call only
+for each move beyond that radius.
 Every solver finds a single sign change the same way: :func:`_bisect`
 narrows a bracket by Halley steps, which it forms itself, kept inside it,
-falling back to halving, until ``hi - lo <= max(xtol, rtol * hi)``.  Each
+falling back to halving, until ``hi - lo <= rtol * hi``.  Each
 solve starts near its root (tau from a stored fit, :func:`_tau_start`), and
 a start within a quarter of the stop width ends it in two evaluations, one
 kernel call.  No solver searches for a bracket, and no end is evaluated:
@@ -42,8 +42,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .bessel import bessel_ratio
-from .density import (LAMBDA_ZERO, Params, _CONTINUE_RADIUS, _CONTINUE_UNIT, _curvature, _curvature_slope,
-                      _ratio_slope, _ratio_taylor, _ratio_terms, log_density_d2)
+from .density import LAMBDA_ZERO, Params, _curvature, _curvature_slope, _ratio_at, log_density_d2
 from .errors import ConvergenceError, DomainError
 
 DEFAULT_TOL = 1e-8
@@ -123,10 +122,17 @@ def criticality_indicator(nu: float, lam: float) -> float:
 
         r_{nu/2}(t) - (lam - 2) / t,
 
-    defined for finite lam > 4 - nu.  It is negative below the critical
-    noncentrality and positive above it, crossing zero exactly once.  t is
-    formed as sqrt(lam) sqrt(lam + nu - 4), as lam (lam + nu - 4) overflows
-    above lam ~ 1.34e154.
+    defined for finite lam > 4 - nu.  In exact arithmetic it is negative
+    below the critical noncentrality and positive above it, crossing zero
+    exactly once.  t is formed as sqrt(lam) sqrt(lam + nu - 4), as
+    lam (lam + nu - 4) overflows above lam ~ 1.34e154.
+
+    The computed value is accurate to a few ulp of 1 in absolute terms, not
+    relative to itself: it is a difference of two numbers near 1.  Far above
+    the critical noncentrality it is about 1 / (2 lam), so its sign means
+    something only for lam below about 1e15 (at nu = 1, lam times it reads
+    0.50004 at lam = 1e12 and 2.22 at 1e16, and it is 0.0 at 1e20).
+    :func:`classify` does not use it.
     """
     if math.isnan(nu) or not 0.0 < nu < 2.0:
         raise DomainError(f"indicator requires 0 < nu < 2, got {nu}")
@@ -158,8 +164,7 @@ def _tau_start(nu: float) -> float:
     return 2.0 * (12.0 * nu) ** (1.0 / 6.0) * (2.0 - nu) ** 0.25 * fitted
 
 
-def _bisect(f, lo: float, hi: float, xtol: float, rtol: float,
-            x: float | None = None) -> tuple[float, int]:
+def _bisect(f, lo: float, hi: float, rtol: float, x: float | None = None) -> tuple[float, int]:
     """A point of the final bracket around the sign change of ``f``, and the evaluation count.
 
     ``f(x)`` returns ``(f, f', f'')``.  The value f is positive at ``lo``
@@ -170,24 +175,21 @@ def _bisect(f, lo: float, hi: float, xtol: float, rtol: float,
     ``f'`` is 0), from the last one when it stays in the bracket and is at
     most half the previous step (rtsafe, *Numerical Recipes* 9.4), and the
     midpoint otherwise.  A step shorter than half the stop width
-    ``w = max(xtol, rtol * x)`` closes the bracket instead: ``f`` is
-    evaluated ``w/4`` beyond the step's point, then ``w/4`` short of it,
-    and when the first of these lands on the side of the last point the
-    next step is the midpoint.  Evaluations other than halvings are capped
-    at the number of halvings the bracket needs, so derivatives that are
-    wrong, zero or NaN at most double the cost of plain bisection.  Returns
-    once ``hi - lo <= max(xtol, rtol * hi)``: the step's point of the
-    closing pair when the loop ends on one and that point lies in the final
-    bracket (it is then within ``w/4`` of both ends), else the bracket's
-    midpoint, so the answer always lies within half that width of a sign
-    change; raises :class:`ConvergenceError` once a midpoint no longer
-    splits the bracket.
+    ``w = rtol * x`` closes the bracket instead: ``f`` is evaluated ``w/4``
+    beyond the step's point, then ``w/4`` short of it, and when the first of
+    these lands on the side of the last point the next step is the
+    midpoint.  Evaluations other than halvings are capped at the number of
+    halvings the bracket needs, so derivatives that are wrong, zero or NaN
+    at most double the cost of plain bisection.  Returns once
+    ``hi - lo <= rtol * hi``: the step's point of the closing pair when the
+    loop ends on one and that point lies in the final bracket (it is then
+    within ``w/4`` of both ends), else the bracket's midpoint, so the answer
+    always lies within half that width of a sign change; raises
+    :class:`ConvergenceError` once a midpoint no longer splits the bracket.
     """
     evals = 0
     half = 0.5 * (hi - lo)  # half the last step, and of the bracket at first
     width = rtol * hi
-    if width < xtol:
-        width = xtol
     # Evaluations other than halvings may number as many as halving alone needs.
     spare = math.log2((hi - lo) / width)
     if x is None:
@@ -213,10 +215,7 @@ def _bisect(f, lo: float, hi: float, xtol: float, rtol: float,
         step = new - x
         if spare > 0.0 and lo <= new <= hi and -half <= step <= half:
             spare -= 1
-            h = rtol * new
-            if h < xtol:
-                h = xtol
-            h *= 0.25
+            h = 0.25 * (rtol * new)
             if -2.0 * h < step < 2.0 * h:
                 beyond = math.copysign(h, step)
                 for y in (new + beyond, new - beyond):
@@ -238,8 +237,6 @@ def _bisect(f, lo: float, hi: float, xtol: float, rtol: float,
         half = 0.5 * step if step >= 0.0 else -0.5 * step
         x = new
         width = rtol * hi
-        if width < xtol:
-            width = xtol
     return (closing if lo <= closing <= hi else 0.5 * (lo + hi)), evals
 
 
@@ -259,20 +256,12 @@ def _critical_lambda_cached(nu: float, tol: float) -> CriticalLambda:
             "the critical noncentrality is solved to its tolerance"
         )
     seen = []
-    # The last kernel point, and how far from it r is continued instead of
-    # calling the kernel (density._ratio_taylor; the closing pair and a last
-    # short step land within that reach).
-    t0 = r0 = math.nan
-    reach = 0.0
+    # The last kernel point [t0, r0, reach] (see density._ratio_at): the
+    # closing pair and a last short step land within its reach.
+    anchor = [math.nan, math.nan, 0.0]
 
     def g(t: float) -> tuple[float, float, float]:
-        nonlocal t0, r0, reach
-        if -reach <= t - t0 <= reach:
-            r = _ratio_taylor(nu, t0, r0, t)
-            dr = _ratio_slope(nu, t, r)
-        else:
-            r, dr = _ratio_terms(nu, t)
-            t0, r0, reach = t, r, _CONTINUE_RADIUS * (t if t < _CONTINUE_UNIT else _CONTINUE_UNIT)
+        r, dr = _ratio_at(nu, t, anchor)
         seen.append((t, r))
         # g'' from the same r, with r'' = -(nu - 1) (r'/t - r/t^2) - 2 r r'.
         d2r = -(nu - 1.0) * (dr - r / t) / t - 2.0 * r * dr
@@ -293,7 +282,7 @@ def _critical_lambda_cached(nu: float, tol: float) -> CriticalLambda:
     # 4 - nu/2 - 3 r_low^2 - (sqrt 3 / 2) nu r_low, which decreases on
     # [0, 2] from -0.1596 at nu = 0 (tested).  tau_nu peaks at 2.339 near
     # nu = 0.635.
-    tau, iterations = _bisect(g, 0.0, _TAU_MAX, 0.0, tol, start)
+    tau, iterations = _bisect(g, 0.0, _TAU_MAX, tol, start)
     if not seen:  # tol >= 1: the bracket needs no evaluation
         g(tau)
     # lambda_nu = F(t) = t^2 / (t r + nu - 2) at the evaluated point nearest

@@ -35,12 +35,12 @@ from ncx2shape.bessel import (
     _series_crossover,
     _series_sum,
 )
+import ncx2shape.density as density_module
 from ncx2shape.density import (
     _CONTINUE_RADIUS,
     _CONTINUE_UNIT,
+    _ratio_at,
     _ratio_slope,
-    _ratio_taylor,
-    _ratio_terms,
 )
 
 # mpmath references
@@ -629,10 +629,15 @@ class TestRatioContinuation:
         # At the farthest accepted point the continued r adds at most 2 ulp
         # to the kernel's own error at the anchor (1.0 ulp seen over 3000
         # random draws), against 40-digit mpmath and against bessel_ratio.
+        # The reach is the step as rounded, which is the radius within half
+        # an ulp of t, so the point is continued, not recomputed.
         nu = 2.0 * mu
         t = t0 + side * _CONTINUE_RADIUS * min(t0, _CONTINUE_UNIT)
         r0 = bessel_ratio(mu, t0)
-        got = _ratio_taylor(nu, t0, r0, t)
+        anchor = [t0, r0, abs(t - t0)]
+        got, slope = _ratio_at(nu, t, anchor)
+        assert anchor == [t0, r0, abs(t - t0)]
+        assert slope == _ratio_slope(nu, t, got)
         anchor_err = abs(r0 - _mp_ratio_hyp(mu, t0))
         exact = _mp_ratio_hyp(mu, t)
         assert abs(got - exact) <= anchor_err + 2.0 * math.ulp(exact)
@@ -641,30 +646,43 @@ class TestRatioContinuation:
 
     @pytest.mark.parametrize("t0", [1e-150, 0.3, 2.0, 1e4, 1e8])
     def test_kernel_only_beyond_the_radius(self, monkeypatch, t0):
-        # In a solver closure the anchor is always a kernel point: a continued
-        # point does not move it, so a walk of steps each inside the radius
-        # calls the kernel again once it is farther than the radius from the
-        # anchor.  The value is the continued ratio; h' and h'' use its r'.
+        # The anchor is always a kernel point: a continued point leaves it as
+        # it is, so a walk of steps each inside the radius calls the kernel
+        # again once it is farther than the radius from the anchor, and that
+        # point replaces the anchor.  A solver closure continues the same way:
+        # its value is built on the continued ratio.
         import ncx2shape.modes as modes_module
 
         calls = []
 
-        def kernel(nu, t):
+        def kernel(mu, t):
             calls.append(t)
-            return _ratio_terms(nu, t)
+            return bessel_ratio(mu, t)
 
-        monkeypatch.setattr(modes_module, "_ratio_terms", kernel)
+        monkeypatch.setattr(density_module, "bessel_ratio", kernel)
         nu, lam = 3.0, 5.0
-        h = modes_module._slope_in_t(nu, lam, 1.0)
-        step = 0.6 * _CONTINUE_RADIUS * min(t0, _CONTINUE_UNIT)
-        h(t0)
-        value = h(t0 + step)[0]
-        assert calls == [t0]
-        r = _ratio_taylor(nu, t0, _ratio_terms(nu, t0)[0], t0 + step)
+        reach = _CONTINUE_RADIUS * min(t0, _CONTINUE_UNIT)
+        step = 0.6 * reach
+        anchor = [math.nan, math.nan, 0.0]
+        r0, slope = _ratio_at(nu, t0, anchor)
+        assert calls == [t0] and anchor == [t0, r0, reach]
+        assert slope == _ratio_slope(nu, t0, r0)
         t = t0 + step
-        assert value == t * r + (nu - 2.0) - t * (t / lam)
-        h(t0 + 2.0 * step)
-        assert calls == [t0, t0 + 2.0 * step]
+        r, slope = _ratio_at(nu, t, anchor)
+        assert calls == [t0] and anchor == [t0, r0, reach]
+        assert slope == _ratio_slope(nu, t, r)
+        far = t0 + 2.0 * step
+        r_far = _ratio_at(nu, far, anchor)[0]
+        assert calls == [t0, far]
+        assert anchor == [far, r_far, _CONTINUE_RADIUS * min(far, _CONTINUE_UNIT)]
+
+        calls.clear()
+        h = modes_module._slope_in_t(nu, lam, 1.0)
+        h(t0)
+        assert h(t)[0] == t * r + (nu - 2.0) - t * (t / lam)
+        assert calls == [t0]
+        h(far)
+        assert calls == [t0, far]
 
 
 class TestRatioAsymptotic:

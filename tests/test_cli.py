@@ -230,14 +230,13 @@ class TestModes:
     def test_mode_outside_its_bounds_exits_3(self, capsys, monkeypatch):
         # A ratio 20% too large moves the mode of (4, 5) from 6.11 to 7.76,
         # outside the proven [6, 7]: refused, not printed.
-        import ncx2shape.modes
+        import ncx2shape.density
 
-        def inflated(nu, t):
-            r, dr = terms(nu, t)
-            return 1.2 * r, 1.2 * dr
+        def inflated(mu, t):
+            return 1.2 * ratio(mu, t)
 
-        terms = ncx2shape.modes._ratio_terms
-        monkeypatch.setattr(ncx2shape.modes, "_ratio_terms", inflated)
+        ratio = ncx2shape.density.bessel_ratio
+        monkeypatch.setattr(ncx2shape.density, "bessel_ratio", inflated)
         code, out, err = run_cli(capsys, "modes", "--nu", "4", "--lambda", "5")
         assert code == 3
         assert out == ""

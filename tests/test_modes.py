@@ -207,12 +207,11 @@ class TestModeReport:
     def test_mode_outside_its_bounds_raises(self, monkeypatch):
         # A ratio 20% too large moves the mode of (4, 5) from 6.11 to 7.76,
         # above its upper bound 7.
-        def inflated(nu, t):
-            r, dr = terms(nu, t)
-            return 1.2 * r, 1.2 * dr
+        def inflated(mu, t):
+            return 1.2 * ratio(mu, t)
 
-        terms = ncx2shape.modes._ratio_terms
-        monkeypatch.setattr(ncx2shape.modes, "_ratio_terms", inflated)
+        ratio = ncx2shape.density.bessel_ratio
+        monkeypatch.setattr(ncx2shape.density, "bessel_ratio", inflated)
         with pytest.raises(InternalConsistencyError, match="outside its bounds"):
             mode_report(Params(nu=4, lam=5))
 
@@ -484,15 +483,16 @@ class TestRootsAgainstMpmath:
     @pytest.mark.parametrize("nu, lam", [(4, 5), (2.5, 0.1), (3, 1e-3), (10, 100), (60, 500),
                                          (100, 1000), (2.001, 7)])
     def test_log_concave_solve_evaluates_no_padded_end(self, monkeypatch, nu, lam):
-        # The padded bounds are theorems: h is never evaluated at either end.
+        # The padded bounds are theorems: h is never evaluated at either end,
+        # at a kernel point or a continued one.
         seen = []
-        terms = ncx2shape.modes._ratio_terms
+        ratio_at = ncx2shape.modes._ratio_at
 
-        def recorded(nu, t):
+        def recorded(nu, t, anchor):
             seen.append(t)
-            return terms(nu, t)
+            return ratio_at(nu, t, anchor)
 
-        monkeypatch.setattr(ncx2shape.modes, "_ratio_terms", recorded)
+        monkeypatch.setattr(ncx2shape.modes, "_ratio_at", recorded)
         rep = mode_report(Params(nu, lam))
         concave = (nu - 2.0) * (1.0 + lam / nu)
         upper = rep.bounds_upper

@@ -234,15 +234,16 @@ class TestCriticalLambda:
         assert np.all(np.diff(values) < 0.0)
 
     def test_tau_solve_evaluates_no_bracket_end(self, monkeypatch):
-        # Both ends of [0, 2 sqrt 3] are theorems; the solve never evaluates g_nu there.
+        # Both ends of [0, 2 sqrt 3] are theorems; the solve never evaluates
+        # g_nu there, at a kernel point or a continued one.
         seen = []
-        terms = shape_module._ratio_terms
+        ratio_at = shape_module._ratio_at
 
-        def recorded(nu, t):
+        def recorded(nu, t, anchor):
             seen.append(t)
-            return terms(nu, t)
+            return ratio_at(nu, t, anchor)
 
-        monkeypatch.setattr(shape_module, "_ratio_terms", recorded)
+        monkeypatch.setattr(shape_module, "_ratio_at", recorded)
         _critical_lambda_cached.cache_clear()
         try:
             for nu in (1e-12, 1e-4, 0.25, 0.635, 1.0, 1.75, 2.0 - 1e-9):
@@ -506,10 +507,10 @@ class TestInflectionPoint:
             inflection_point(Params(nu=1, lam=1e-310))  # tau^2 / lam overflows
 
 
-def _plain_bisection(f, lo, hi, xtol, rtol):
+def _plain_bisection(f, lo, hi, rtol):
     """Halving count of plain bisection on the same bracket and stop rule."""
     halvings = 0
-    while hi - lo > max(xtol, rtol * hi):
+    while hi - lo > rtol * hi:
         mid = 0.5 * (lo + hi)
         if f(mid)[0] > 0.0:
             lo = mid
@@ -519,8 +520,8 @@ def _plain_bisection(f, lo, hi, xtol, rtol):
     return 0.5 * (lo + hi), halvings
 
 
-def _assert_certified_and_bounded(f, lo, hi, xtol, rtol, root, evals, seen):
-    """The checks on one ``_bisect(f, lo, hi, xtol, rtol, ...)`` that evaluated ``seen`` (x, f(x))."""
+def _assert_certified_and_bounded(f, lo, hi, rtol, root, evals, seen):
+    """The checks on one ``_bisect(f, lo, hi, rtol, ...)`` that evaluated ``seen`` (x, f(x))."""
     assert evals == len(seen)
     # The final bracket: the highest point with a positive value and the
     # lowest with a non-positive one; the answer lies inside it, within
@@ -529,10 +530,10 @@ def _assert_certified_and_bounded(f, lo, hi, xtol, rtol, root, evals, seen):
     final_hi = min([hi] + [x for x, v in seen if not v > 0.0])
     assert final_lo < final_hi
     assert final_lo <= root <= final_hi
-    width = max(xtol, rtol * final_hi)
+    width = rtol * final_hi
     assert final_hi - final_lo <= width
     assert max(root - final_lo, final_hi - root) <= 0.5 * width
-    halvings = _plain_bisection(f, lo, hi, xtol, rtol)[1]
+    halvings = _plain_bisection(f, lo, hi, rtol)[1]
     assert evals <= 2 * halvings + 3
 
 
@@ -555,7 +556,7 @@ def _solves_from(start, p, tol):
     """
     solves = []
 
-    def bisect(f, lo, hi, xtol, rtol, x=None):
+    def bisect(f, lo, hi, rtol, x=None):
         seen = []
 
         def recorded(y):
@@ -563,8 +564,8 @@ def _solves_from(start, p, tol):
             seen.append((y, values[0]))
             return values
 
-        root, evals = _bisect(recorded, lo, hi, xtol, rtol, STARTS[start](lo, hi, x))
-        solves.append((f, lo, hi, xtol, rtol, root, evals, seen))
+        root, evals = _bisect(recorded, lo, hi, rtol, STARTS[start](lo, hi, x))
+        solves.append((f, lo, hi, rtol, root, evals, seen))
         return root, evals
 
     with pytest.MonkeyPatch.context() as patch:
@@ -591,19 +592,18 @@ def _t(lam, x):
     return math.sqrt(lam * x)
 
 
-# (function, lo, hi, xtol, rtol, start): the tau solve at three nu, the
+# (function, lo, hi, rtol, start): the tau solve at three nu, the
 # interior mode of (1, 5), and the mode of (60, 500) on a wide bracket.
 # Each function returns (f, f', f'').  The tau problems pass f'' = 0, so
 # their steps are Newton's.  The modes are solved in t = sqrt(lam x), on the
 # solvers' one-ratio h(t) and Halley steps, over the x brackets
 # [1.02, 3.000003] and [550, 2000] from 3 and 557.5.
 ROOT_PROBLEMS = {
-    "tau_0.1": (_g_and_slope(0.1), 0.0, 3.0, 0.0, 1e-8, 2.0),
-    "tau_1": (_g_and_slope(1.0), 0.0, 3.0, 0.0, 1e-8, 2.0),
-    "tau_1.9": (_g_and_slope(1.9), 0.0, 3.0, 0.0, 1e-12, 1.1),
-    "mode_1_5": (_slope_in_t(1.0, 5.0, 1.0), _t(5.0, 1.02), _t(5.0, 3.000003), 0.0, 5e-11,
-                 _t(5.0, 3.0)),
-    "mode_60_500": (_slope_in_t(60.0, 500.0, 1.0), _t(500.0, 550.0), _t(500.0, 2000.0), 0.0, 5e-11,
+    "tau_0.1": (_g_and_slope(0.1), 0.0, 3.0, 1e-8, 2.0),
+    "tau_1": (_g_and_slope(1.0), 0.0, 3.0, 1e-8, 2.0),
+    "tau_1.9": (_g_and_slope(1.9), 0.0, 3.0, 1e-12, 1.1),
+    "mode_1_5": (_slope_in_t(1.0, 5.0, 1.0), _t(5.0, 1.02), _t(5.0, 3.000003), 5e-11, _t(5.0, 3.0)),
+    "mode_60_500": (_slope_in_t(60.0, 500.0, 1.0), _t(500.0, 550.0), _t(500.0, 2000.0), 5e-11,
                     _t(500.0, 557.5)),
 }
 DISTORTIONS = {
@@ -620,7 +620,7 @@ class TestRootFinder:
     @pytest.mark.parametrize("distortion", sorted(DISTORTIONS))
     @pytest.mark.parametrize("problem", sorted(ROOT_PROBLEMS))
     def test_bad_derivative_still_certified_and_bounded(self, problem, distortion):
-        f, lo, hi, xtol, rtol, start = ROOT_PROBLEMS[problem]
+        f, lo, hi, rtol, start = ROOT_PROBLEMS[problem]
         distort = DISTORTIONS[distortion]
         seen = []
 
@@ -629,24 +629,24 @@ class TestRootFinder:
             seen.append((x, value))
             return value, distort(slope), curve
 
-        root, evals = _bisect(recorded, lo, hi, xtol, rtol, start)
-        _assert_certified_and_bounded(f, lo, hi, xtol, rtol, root, evals, seen)
+        root, evals = _bisect(recorded, lo, hi, rtol, start)
+        _assert_certified_and_bounded(f, lo, hi, rtol, root, evals, seen)
 
     @pytest.mark.parametrize("problem", sorted(ROOT_PROBLEMS))
     def test_nan_derivative_is_plain_bisection(self, problem):
-        f, lo, hi, xtol, rtol, _ = ROOT_PROBLEMS[problem]
-        got = _bisect(lambda x: (f(x)[0], math.nan, 0.0), lo, hi, xtol, rtol)
-        assert got == _plain_bisection(f, lo, hi, xtol, rtol)
+        f, lo, hi, rtol, _ = ROOT_PROBLEMS[problem]
+        got = _bisect(lambda x: (f(x)[0], math.nan, 0.0), lo, hi, rtol)
+        assert got == _plain_bisection(f, lo, hi, rtol)
 
     @pytest.mark.parametrize("problem", ["tau_0.1", "tau_1", "tau_1.9", "mode_1_5"])
     def test_exact_derivative_takes_few_steps(self, problem):
-        f, lo, hi, xtol, rtol, start = ROOT_PROBLEMS[problem]
-        assert _bisect(f, lo, hi, xtol, rtol, start)[1] <= 8
+        f, lo, hi, rtol, start = ROOT_PROBLEMS[problem]
+        assert _bisect(f, lo, hi, rtol, start)[1] <= 8
 
     def test_bracket_already_within_tolerance(self):
         # No evaluation, and the midpoint is the answer; a tol of 1 or more
         # used to raise UnboundLocalError here.
-        assert _bisect(lambda x: 1 / 0, 1.0, 2.0, 0.0, 1.0) == (1.5, 0)
+        assert _bisect(lambda x: 1 / 0, 1.0, 2.0, 1.0) == (1.5, 0)
         res = critical_lambda(1.0, 1.0)
         assert res.iterations == 0 and res.tau == 0.5 * shape_module._TAU_MAX
         assert res.lambda_nu > critical_lambda(1.0).lambda_nu
@@ -680,9 +680,9 @@ class TestRootFinder:
         assert len(reference) == (3 if nu < 2.0 else 1)
         for report, solves in runs.values():
             assert len(solves) == len(reference)
-            for (f, lo, hi, xtol, rtol, root, evals, seen), ref in zip(solves, reference):
-                _assert_certified_and_bounded(f, lo, hi, xtol, rtol, root, evals, seen)
-                assert abs(root - ref[5]) <= max(xtol, rtol * max(root, ref[5]))
+            for (f, lo, hi, rtol, root, evals, seen), ref in zip(solves, reference):
+                _assert_certified_and_bounded(f, lo, hi, rtol, root, evals, seen)
+                assert abs(root - ref[4]) <= rtol * max(root, ref[4])
             for x, ref_x in ((report.interior_mode, runs["production"][0].interior_mode),
                              (report.antimode, runs["production"][0].antimode)):
                 assert (x is None) == (ref_x is None)
