@@ -12,8 +12,6 @@ from .bessel import bessel_ratio, log_bessel_i
 from .density import (
     Params,
     density_bessel,
-    density_series,
-    density_series_grid,
     log_density,
     log_density_d1,
     log_density_d2,
@@ -31,13 +29,12 @@ from .modes import (
     interior_mode,
     mode_report,
 )
-from .oracle import (
-    GridMaxima,
-    GridSpec,
-    adaptive_quadrature,
-    finite_difference,
-    grid_local_maxima,
-)
+
+# Nothing in the package calls the test-side oracle.  It stays on the import
+# only because the benchmark reads the import times of ncx2shape.oracle and of
+# scipy from `import ncx2shape`, and reports null, not 0, for an import that
+# does not happen (ROADMAP item 1); oracle's bare `import scipy` stays alike.
+from . import oracle  # noqa: F401
 from .shape import (
     CriticalLambda,
     ShapeReport,
@@ -52,24 +49,17 @@ __all__ = [
     "ConvergenceError",
     "CriticalLambda",
     "DomainError",
-    "GridMaxima",
-    "GridSpec",
     "InternalConsistencyError",
     "ModeReport",
     "NCX2ShapeError",
     "Params",
     "ShapeReport",
-    "adaptive_quadrature",
     "antimode",
     "bessel_ratio",
     "classify",
     "critical_lambda",
     "criticality_indicator",
     "density_bessel",
-    "density_series",
-    "density_series_grid",
-    "finite_difference",
-    "grid_local_maxima",
     "inflection_point",
     "interior_mode",
     "log_bessel_i",

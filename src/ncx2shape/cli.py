@@ -145,16 +145,9 @@ def _cmd_eval(args) -> None:
         rows.append([x, math.exp(l), l, log_density_d1(p, x), log_density_d2(p, x)])
         if not all(map(math.isfinite, rows[-1])):
             raise OverflowError(f"non-finite value in the row at x={x!r}: {rows[-1]!r}")
-    payload = {
-        "nu": p.nu,
-        "lambda": p.lam,
-        "rows": [
-            {"x": r[0], "density": r[1], "log_density": r[2], "d1": r[3], "d2": r[4]}
-            for r in rows
-        ],
-    }
-    _emit(args.format, payload, ["x", "density", "log_density", "d1", "d2"], rows,
-          {"d2_consistency": D2_CONSISTENCY_TOL})
+    columns = ["x", "density", "log_density", "d1", "d2"]
+    payload = {"nu": p.nu, "lambda": p.lam, "rows": [dict(zip(columns, r)) for r in rows]}
+    _emit(args.format, payload, columns, rows, {"d2_consistency": D2_CONSISTENCY_TOL})
 
 
 def _cmd_classify(args) -> None:
@@ -193,8 +186,9 @@ def _cmd_critical_table(args) -> None:
     for nu in nus:
         res = critical_lambda(nu, args.tol)
         rows.append([nu, res.lambda_nu, res.iterations])
-    payload = {"rows": [{"nu": r[0], "lambda_nu": r[1], "iterations": r[2]} for r in rows]}
-    _emit(args.format, payload, ["nu", "lambda_nu", "iterations"], rows, {"tol": args.tol})
+    columns = ["nu", "lambda_nu", "iterations"]
+    payload = {"rows": [dict(zip(columns, r)) for r in rows]}
+    _emit(args.format, payload, columns, rows, {"tol": args.tol})
 
 
 def _cmd_modes(args) -> None:

@@ -1,17 +1,12 @@
 """Noncentral chi-squared density and its first three log-density derivatives.
 
-Two evaluation routes are kept deliberately separate:
-
-* the Poisson mixture of central chi-squared densities (series route), one
-  truncation loop over an array of points with a provable absolute
-  truncation bound, and
-* the closed form built on log-scaled modified Bessel functions (Bessel
-  route), which is the production path.  A noncentrality below
-  ``LAMBDA_ZERO`` routes it to the central density.
-
-The routes share no special-function code beyond ``math``; comparing them is
-therefore a genuine cross-check and the oracle layer only ever touches the
-series route.
+This module is the production route: the closed form built on log-scaled
+modified Bessel functions.  A noncentrality below ``LAMBDA_ZERO`` routes it
+to the central density.  The paper's other form, the Poisson mixture of
+central chi-squared densities, is the reference route and lives in
+:mod:`ncx2shape.oracle` with the grid search and quadrature that consume it.
+The two modules share no special-function code beyond ``math``, so
+comparing them is a genuine cross-check.
 
 Derivatives of the log density use the Bessel-ratio closed forms; finite
 differences live in :mod:`ncx2shape.oracle` and never run in production.
@@ -24,14 +19,12 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bessel import _point, bessel_ratio
 
 # Not called here, but bench/spans.py traces this binding and CI's smoke step
 # fails on a missing one; ROADMAP item 1 (one stable kernel name) lets it go.
 from .bessel import log_bessel_i  # noqa: F401
-from .errors import ConvergenceError, DomainError, InternalConsistencyError
+from .errors import DomainError, InternalConsistencyError
 
 _LOG2 = math.log(2.0)
 
@@ -42,9 +35,6 @@ LAMBDA_ZERO = 1e-300
 
 # Agreement demanded of the two closed forms of the second derivative.
 D2_CONSISTENCY_TOL = 1e-9
-
-_SERIES_MAX_TERMS = 200_000
-_REL_TAIL_EPS = 1e-16
 
 
 # A row l, l', l'' at one point needs r_mu(t), log I_{mu-1}(t) and log I_mu(t),
@@ -182,73 +172,6 @@ def _bad_x(x: float) -> DomainError:
 
 def _log_central(nu: float, x: float) -> float:
     return (0.5 * nu - 1.0) * math.log(0.5 * x) - 0.5 * x - _LOG2 - math.lgamma(0.5 * nu)
-
-
-def _central_peak(m: float) -> float:
-    """Peak value of the central density with m > 2 degrees of freedom.
-
-    Decreasing in m, which makes it a uniform-in-x bound on every mixture
-    term beyond a given index.
-    """
-    half = 0.5 * (m - 2.0)
-    return math.exp(-half + (0.5 * m - 1.0) * math.log(half) - _LOG2 - math.lgamma(0.5 * m))
-
-
-def _mixture(p: Params, xs, tol: float) -> tuple[np.ndarray, int]:
-    """Poisson-mixture density over an array of points, with the truncation index K.
-
-    Terms are accumulated until the remaining Poisson tail mass times a
-    uniform bound on the remaining central densities drops below ``tol``
-    (absolute error guarantee) and every point's current term is below
-    machine noise relative to its running sum (relative accuracy near the
-    far tail).  One K serves all the points, so a grid's values are a
-    smooth (finitely parameterised) function of x with no noise-induced
-    wiggles.
-    """
-    xs = np.asarray(xs, dtype=float)
-    if xs.size == 0 or np.any(~np.isfinite(xs)) or np.any(xs <= 0.0):
-        raise DomainError("evaluation points must be finite and > 0")
-    if not tol > 0.0:
-        raise DomainError(f"tolerance must be > 0, got {tol}")
-    nu, lam = p.nu, p.lam
-    log_half_x = np.log(0.5 * xs)
-
-    def log_central_vec(m: float) -> np.ndarray:
-        return (0.5 * m - 1.0) * log_half_x - 0.5 * xs - _LOG2 - math.lgamma(0.5 * m)
-
-    if lam < LAMBDA_ZERO:
-        return np.exp(log_central_vec(nu)), 0
-    half = 0.5 * lam
-    log_half = math.log(half)
-    log_w = -half  # log Poisson(k; lam/2) weight, k = 0
-    total = np.zeros_like(xs)
-    cum_weight = 0.0
-    prev_term = np.full_like(xs, np.inf)
-    k = 0
-    while k < _SERIES_MAX_TERMS:
-        term = np.exp(log_w + log_central_vec(nu + 2.0 * k))
-        total += term
-        cum_weight += math.exp(log_w)
-        m_next = nu + 2.0 * (k + 1)
-        tail = max(0.0, 1.0 - cum_weight)
-        if m_next > 2.0 and tail * _central_peak(m_next) < tol and np.all(term <= prev_term):
-            rel = term / np.maximum(total, 1e-300)
-            if np.all((term == 0.0) | (rel < _REL_TAIL_EPS)):
-                return total, k
-        prev_term = term
-        k += 1
-        log_w += log_half - math.log(k)
-    raise ConvergenceError(f"mixture series not truncated after {k} terms")
-
-
-def density_series(p: Params, x: float, tol: float = 1e-12) -> float:
-    """Density at one point by the Poisson mixture of central chi-squared densities."""
-    return float(_mixture(p, [x], tol)[0][0])
-
-
-def density_series_grid(p: Params, xs, tol: float = 1e-12) -> np.ndarray:
-    """Mixture density over an array of evaluation points, one shared truncation index."""
-    return _mixture(p, xs, tol)[0]
 
 
 def log_density(p: Params, x: float) -> float:

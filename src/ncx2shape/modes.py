@@ -56,12 +56,12 @@ still proves the bracket.
 
 For nu >= 2 the bracket is the proven bounds, padded (at nu = 5,
 lam = 5.96e-8 the mode is 6e-16 above its lower bound, where h rounds to
-0), and no end is evaluated either.  The lower end is the padded
-(nu - 2)(1 + lam/nu), or, where that is not above 1e-12 (nu within ~1e-6
-of 2), the padded binding lower bound (lam + nu - 4 above lam ~ 2).  Only
-where that too is not above 1e-12 is the lower end clamped to 1e-12 and
-checked on h; below the mode it moves to half a positive lower bound, and
-a wrong sign there raises :class:`InternalConsistencyError`.
+0), and no end is evaluated either.  The lower end is the padded binding
+lower bound, never below the padded (nu - 2)(1 + lam/nu), since the padded
+value grows with the bound.  Only where it is not above 1e-12 (the binding
+bound within ~1e-6 of 0, so nu within ~1e-6 of 2) is the lower end clamped
+to 1e-12 and checked on h; below the mode it moves to half a positive lower
+bound, and a wrong sign there raises :class:`InternalConsistencyError`.
 """
 
 from __future__ import annotations
@@ -260,18 +260,14 @@ def mode_report(p: Params, tol: float = DEFAULT_TOL) -> ModeReport:
                     _antimode_start(nu, lam))[0]
         anti = t * (t / lam)
     else:
-        concave = (nu - 2.0) * (1.0 + lam / nu)
-        lo = concave - _BRACKET_PAD * max(1.0, concave)
+        lo = lower - _BRACKET_PAD * max(1.0, lower)
         if not lo > 1e-12:
-            # nu within ~1e-6 of 2: the binding bound, padded alike, which is
-            # lam + nu - 4 where that is the larger.
-            lo = lower - _BRACKET_PAD * max(1.0, lower)
-        if not lo > 1e-12:
-            # lam + nu - 4 within ~1e-6 of 0 too.  The clamp can lie above the
-            # mode, half a positive lower bound cannot (lam + nu - 4 rounds to
-            # 0 at nu = 2, lam = 2 + 4e-16); the lower end is checked here only.
+            # The binding bound within ~1e-6 of 0.  The clamp can lie above
+            # the mode, half a positive lower bound cannot (lam + nu - 4 rounds
+            # to 0 at nu = 2, lam = 2 + 4e-16); the lower end is checked here only.
             lo = 1e-12
             if not slope(math.sqrt(lam * lo))[0] > 0.0:
+                concave = (nu - 2.0) * (1.0 + lam / nu)
                 lo = 0.5 * max(concave, (lam - 2.0) + (nu - 2.0))
                 h_lo = slope(math.sqrt(lam * lo))[0]
                 if not h_lo > 0.0:

@@ -1,9 +1,11 @@
-"""Brute-force reference implementations used by the test suite.
+"""Reference implementations used by the test suite.
 
-Everything here is deliberately independent of the Bessel evaluation path:
-grid search and quadrature consume only the Poisson-mixture series route,
-so the two formula lineages stay separate until a test compares them.
-Finite differences are plain central stencils.
+The paper gives the density two ways.  :mod:`ncx2shape.density` holds the
+closed Bessel form, the production route; this module holds the other, the
+Poisson mixture of central chi-squared densities (the series route), with
+the grid search and quadrature that consume it.  Nothing here touches the
+Bessel evaluation path, so the two formula lineages stay separate until a
+test compares them.  Finite differences are plain central stencils.
 
 Not a general-purpose numerics surface; accuracy and speed targets are
 those of the test suite.
@@ -23,11 +25,75 @@ import numpy as np
 # lets this line go.
 import scipy  # noqa: F401
 
-from .density import Params, density_series, density_series_grid
+from .density import LAMBDA_ZERO, Params, _LOG2
 from .errors import ConvergenceError, DomainError
 
 QUAD_ABS_TOL = 1e-9
 _SERIES_TOL = 1e-14
+_SERIES_MAX_TERMS = 200_000
+_REL_TAIL_EPS = 1e-16
+
+
+def _central_peak(m: float) -> float:
+    """Peak value of the central density with m > 2 degrees of freedom.
+
+    Decreasing in m, which makes it a uniform-in-x bound on every mixture
+    term beyond a given index.
+    """
+    half = 0.5 * (m - 2.0)
+    return math.exp(-half + (0.5 * m - 1.0) * math.log(half) - _LOG2 - math.lgamma(0.5 * m))
+
+
+def _mixture(p: Params, xs, tol: float) -> tuple[np.ndarray, int]:
+    """Poisson-mixture density over an array of points, with the truncation index K.
+
+    Terms are accumulated until the remaining Poisson tail mass times a
+    uniform bound on the remaining central densities drops below ``tol``
+    (absolute error guarantee) and every point's current term is below
+    machine noise relative to its running sum (relative accuracy near the
+    far tail).  One K serves all the points, so a grid's values are a
+    smooth (finitely parameterised) function of x with no noise-induced
+    wiggles.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if xs.size == 0 or np.any(~np.isfinite(xs)) or np.any(xs <= 0.0):
+        raise DomainError("evaluation points must be finite and > 0")
+    if not tol > 0.0:
+        raise DomainError(f"tolerance must be > 0, got {tol}")
+    nu, lam = p.nu, p.lam
+    log_half_x = np.log(0.5 * xs)
+
+    def log_central_vec(m: float) -> np.ndarray:
+        return (0.5 * m - 1.0) * log_half_x - 0.5 * xs - _LOG2 - math.lgamma(0.5 * m)
+
+    if lam < LAMBDA_ZERO:
+        return np.exp(log_central_vec(nu)), 0
+    half = 0.5 * lam
+    log_half = math.log(half)
+    log_w = -half  # log Poisson(k; lam/2) weight, k = 0
+    total = np.zeros_like(xs)
+    cum_weight = 0.0
+    prev_term = np.full_like(xs, np.inf)
+    k = 0
+    while k < _SERIES_MAX_TERMS:
+        term = np.exp(log_w + log_central_vec(nu + 2.0 * k))
+        total += term
+        cum_weight += math.exp(log_w)
+        m_next = nu + 2.0 * (k + 1)
+        tail = max(0.0, 1.0 - cum_weight)
+        if m_next > 2.0 and tail * _central_peak(m_next) < tol and np.all(term <= prev_term):
+            rel = term / np.maximum(total, 1e-300)
+            if np.all((term == 0.0) | (rel < _REL_TAIL_EPS)):
+                return total, k
+        prev_term = term
+        k += 1
+        log_w += log_half - math.log(k)
+    raise ConvergenceError(f"mixture series not truncated after {k} terms")
+
+
+def density_series(p: Params, x: float, tol: float = 1e-12) -> float:
+    """Density at one point by the Poisson mixture of central chi-squared densities."""
+    return float(_mixture(p, [x], tol)[0][0])
 
 
 @dataclass(frozen=True)
@@ -92,7 +158,7 @@ def grid_local_maxima(p: Params, grid: GridSpec) -> GridMaxima:
     curve smooth, so no spurious maxima arise from evaluation noise.
     """
     xs = grid.points_array()
-    dens = density_series_grid(p, xs, tol=1e-13)
+    dens = _mixture(p, xs, 1e-13)[0]
     boundary = bool(dens[0] > dens[1])
     interior = np.flatnonzero((dens[1:-1] > dens[:-2]) & (dens[1:-1] > dens[2:])) + 1
     maxima = tuple((float(xs[i]), float(dens[i])) for i in interior)

@@ -12,23 +12,25 @@ import time
 import numpy as np
 
 from ncx2shape import (
-    GridSpec,
     Params,
-    adaptive_quadrature,
     bessel_ratio,
     classify,
     critical_lambda,
     criticality_indicator,
     density_bessel,
-    density_series,
-    finite_difference,
-    grid_local_maxima,
     interior_mode,
     log_density,
     log_density_d1,
     log_density_d2,
     log_density_d3,
     mode_report,
+)
+from ncx2shape.oracle import (
+    GridSpec,
+    adaptive_quadrature,
+    density_series,
+    finite_difference,
+    grid_local_maxima,
 )
 from ncx2shape.shape import _critical_lambda_cached
 

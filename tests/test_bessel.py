@@ -23,7 +23,6 @@ from ncx2shape import (
     ConvergenceError,
     DomainError,
     bessel_ratio,
-    finite_difference,
     log_bessel_i,
 )
 from ncx2shape.bessel import (
@@ -42,6 +41,7 @@ from ncx2shape.density import (
     _ratio_at,
     _ratio_slope,
 )
+from ncx2shape.oracle import finite_difference
 
 # mpmath references
 I_HALF_AT_1 = 0.9376748882454876

@@ -54,7 +54,7 @@ class TestEval:
 
     def test_cross_form_agreement(self, capsys):
         env = run_json(capsys, "eval", "--nu", "1", "--lambda", "5", "--x", "3")
-        from ncx2shape import density_series
+        from ncx2shape.oracle import density_series
         p = Params(nu=1, lam=5)
         got = env["payload"]["rows"][0]["density"]
         assert abs(got - density_series(p, 3.0)) < 1e-11

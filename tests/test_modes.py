@@ -28,14 +28,13 @@ from ncx2shape import (
     antimode,
     classify,
     critical_lambda,
-    grid_local_maxima,
-    GridSpec,
     inflection_point,
     interior_mode,
     log_density_d1,
     log_density_d2,
     mode_report,
 )
+from ncx2shape.oracle import GridSpec, grid_local_maxima
 
 MODE_4_5 = 6.11352664605
 MODE_1_5 = 2.60076895154

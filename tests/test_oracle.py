@@ -7,15 +7,12 @@ import pytest
 
 from ncx2shape import (
     DomainError,
-    GridSpec,
     Params,
-    adaptive_quadrature,
-    finite_difference,
-    grid_local_maxima,
     log_density,
     log_density_d1,
     log_density_d2,
 )
+from ncx2shape.oracle import GridSpec, adaptive_quadrature, finite_difference, grid_local_maxima
 
 
 class TestGridSpec:

@@ -18,24 +18,17 @@ PUBLIC_API = {
     "ConvergenceError",
     "CriticalLambda",
     "DomainError",
-    "GridMaxima",
-    "GridSpec",
     "InternalConsistencyError",
     "ModeReport",
     "NCX2ShapeError",
     "Params",
     "ShapeReport",
-    "adaptive_quadrature",
     "antimode",
     "bessel_ratio",
     "classify",
     "critical_lambda",
     "criticality_indicator",
     "density_bessel",
-    "density_series",
-    "density_series_grid",
-    "finite_difference",
-    "grid_local_maxima",
     "inflection_point",
     "interior_mode",
     "log_bessel_i",
