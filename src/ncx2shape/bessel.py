@@ -39,6 +39,19 @@ sum):
 The third band is empty for mu <= 1/2.  Each value is bit-identical to
 :func:`bessel_ratio` or :func:`log_bessel_i` but for one (see :func:`_point`).
 
+At mu = 1/2 none of these bands runs.  There I_{-1/2}(x) = sqrt(2/(pi x))
+cosh x and I_{1/2}(x) = sqrt(2/(pi x)) sinh x (DLMF 10.39.1), so the
+three values are elementary, and all three entry points take them from
+:func:`_half_order` at every x:
+
+  band        r       log I_{-1/2}  log I_{1/2}  two
+  mu = 1/2    tanh x  log cosh x    log sinh x   yes
+
+This is the paper's elementary nu = 1 density,
+(2 pi x)^(-1/2) e^{-(x + lam)/2} cosh sqrt(lam x).  At mu = 3/2 the
+column log I_{mu-1} is log I_{1/2} and comes from :func:`_half_order`
+too; the other two columns keep the bands above.
+
 All functions are pure and safe to call concurrently.
 """
 
@@ -174,6 +187,12 @@ _DEBYE_U = (
 _DEBYE_ROWS = tuple((abs(row[-1]), row) for row in _DEBYE_U)
 _HALF_ULP_OF_ONE = 2.0 ** -53
 _LOG_2PI = math.log(2.0 * math.pi)
+_LOG_HALF_PI = math.log(0.5 * math.pi)
+
+# From here on e = e^{-2x} <= 1/2 (as rounded), so a relative rounding d of
+# e moves log1p(-e) by at most e d / (1 - e) <= d: :func:`_half_order`
+# takes log sinh x from log1p(-e) there, and from sinh itself below.
+HALF_ORDER_LOG1P_MIN_X = 0.5 * math.log(2.0)
 
 
 def _log_i_debye(mu: float, x: float) -> float:
@@ -209,6 +228,31 @@ def _log_i_debye(mu: float, x: float) -> float:
     return s + mu * math.log(x / (mu + s)) - 0.5 * (_LOG_2PI + math.log(s)) + math.log(total)
 
 
+def _half_order(x: float) -> tuple[float, float, float]:
+    """(tanh x, log I_{-1/2}(x), log I_{1/2}(x)) for finite x > 0, in closed form.
+
+    With e = e^{-2x}, log cosh x = x + log1p(e) - log 2, and so
+
+        log I_{-1/2}(x) = x - log(2 pi x) / 2 + log1p(e),
+
+    and log I_{1/2}(x) is the same with log1p(-e), from
+    HALF_ORDER_LOG1P_MIN_X on.  Below it, where 1 - e cancels, it is
+    log(sinh x / x) + (log x - log(pi/2)) / 2.  Each value is within 2 eps
+    of 40-digit mpmath over the whole range (relative for tanh, relative to
+    the larger of 1 and the log's magnitude for the logs).  tanh and the
+    two logs are separate libm routes, so the density's l'' check compares
+    two lineages at every x.
+    """
+    e = math.exp(-2.0 * x)
+    log_x = math.log(x)
+    lead = x - 0.5 * (_LOG_2PI + log_x)
+    if x >= HALF_ORDER_LOG1P_MIN_X:
+        log_i = lead + math.log1p(-e)
+    else:
+        log_i = math.log(math.sinh(x) / x) + 0.5 * (log_x - _LOG_HALF_PI)
+    return math.tanh(x), lead + math.log1p(e), log_i
+
+
 def log_bessel_i(mu: float, x: float) -> float:
     """log I_mu(x) for finite x > 0, finite up to the largest double.
 
@@ -217,9 +261,12 @@ def log_bessel_i(mu: float, x: float) -> float:
     summed relative to that term, so no tiny x underflows.  From there on
     it is the uniform (Debye) expansion of :func:`_log_i_debye` at the
     order |mu|: for mu in (-1, 0), I_mu - I_|mu| is below e^{-60} of I_|mu|.
+    At mu = +-1/2 it is the closed form of :func:`_half_order` at every x.
     """
     _check_order(mu)
     _check_positive(x)
+    if abs(mu) == 0.5:
+        return _half_order(x)[1 if mu < 0.0 else 2]
     if x < _series_crossover(mu):
         return _log_series_lead(mu, x) + math.log(_series_sum(mu, x))
     return _log_i_debye(abs(mu), x)
@@ -305,16 +352,19 @@ def bessel_ratio(mu: float, x: float) -> float:
     is evaluated, nothing underflows at tiny x, and the order mu - 1 is never
     formed.  Up to 30 + 2 mu it is Gauss's continued fraction
     (:func:`_ratio_cf`), and from there Perron's (:func:`_ratio_perron`),
-    finite up to the largest double.
+    finite up to the largest double.  At mu = 1/2 it is tanh x at every x,
+    as in :func:`_half_order`.
 
     Over mu in (0, 50] and x up to 1e8 it is within 4e-15 relative of
     mpmath (a hypothesis sweep in the tests); the two fractions agree to
     ~1e-15 at their seam.
     """
     # Comparisons that are false for NaN: each argument is checked once, and
-    # x only below 1.
+    # x only below 1 (or at mu = 1/2).
     if not 0.0 < mu < math.inf:
         raise DomainError(f"ratio requires a finite order mu > 0, got {mu}")
+    if mu == 0.5 and x > 0.0:
+        return math.tanh(x)
     if x >= SERIES_RATIO_MAX_X:
         if x < _series_crossover(mu):
             return _ratio_cf(mu, x)
@@ -328,21 +378,26 @@ def bessel_ratio(mu: float, x: float) -> float:
 def _point(mu: float, x: float) -> tuple[float, float, float]:
     """(r_mu(x), log I_{mu-1}(x), log I_mu(x)) for finite mu > 0 and finite x > 0.
 
-    One band dispatch, by the module docstring's table.  For mu < 1/2 below
+    One band dispatch, by the module docstring's tables.  For mu < 1/2 below
     30 + 2|mu - 1|, log I_{mu-1} is log I_mu - log(x Sa / (2 mu Sb)), not
     the series form of ``log_bessel_i(mu - 1, x)``, in which
     lgamma(mu) ~ -log(mu) cancels against log Sb and the order mu - 1
-    rounds (to -1 below mu = 2^-54).
+    rounds (to -1 below mu = 2^-54).  At mu = 1/2, and for log I_{1/2} at
+    mu = 3/2, the values are :func:`_half_order`'s.
     """
     if not 0.0 < mu < math.inf:
         raise DomainError(f"ratio requires a finite order mu > 0, got {mu}")
     _check_positive(x)
+    if mu == 0.5:
+        return _half_order(x)
     if x < _series_crossover(mu - 1.0):
         total, total_lower = _series_pair(mu, x)
         r = x * total / (2.0 * mu * total_lower)
         log_half_x = math.log(0.5 * x)
         log_i = mu * log_half_x - math.lgamma(mu + 1.0) + math.log(total)
-        if mu >= 0.5:
+        if mu == 1.5:
+            log_i_lower = _half_order(x)[2]
+        elif mu >= 0.5:
             # lgamma(mu) is the lead term's lgamma((mu - 1) + 1): mu - 1 is
             # exact for 1/2 <= mu < 2^53.
             log_i_lower = (mu - 1.0) * log_half_x - math.lgamma(mu) + math.log(total_lower)
@@ -351,7 +406,7 @@ def _point(mu: float, x: float) -> tuple[float, float, float]:
         if x >= SERIES_RATIO_MAX_X:
             r = _ratio_cf(mu, x) if x < _series_crossover(mu) else _ratio_perron(mu, x)
         return r, log_i_lower, log_i
-    log_i_lower = _log_i_debye(abs(mu - 1.0), x)
+    log_i_lower = _half_order(x)[2] if mu == 1.5 else _log_i_debye(abs(mu - 1.0), x)
     if x < _series_crossover(mu):
         log_i = _log_series_lead(mu, x) + math.log(_series_sum(mu, x))
         return _ratio_cf(mu, x), log_i_lower, log_i

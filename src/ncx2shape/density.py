@@ -236,7 +236,9 @@ def log_density_d2(p: Params, x: float) -> float:
     where r is a continued fraction (Gauss's, then Perron's from
     t = 30 + nu) and the logs come from the series or the uniform expansion.
     Below t = 1, r and both logs come from the same series sums, and the
-    check sees only the arithmetic that follows them.
+    check sees only the arithmetic that follows them.  At nu = 1 it
+    compares two lineages at every t: r is tanh t and the logs are
+    log cosh t and log sinh t in closed form, separate libm routes.
 
     In the strongly noncentral regime lam/x >> 1 the slope form cancels its
     leading O(lam/(4x)) terms down to an O(1) result, so the comparison

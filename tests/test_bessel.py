@@ -26,12 +26,16 @@ from ncx2shape import (
     log_bessel_i,
 )
 from ncx2shape.bessel import (
+    HALF_ORDER_LOG1P_MIN_X,
+    SERIES_RATIO_MAX_X,
+    _half_order,
     _log_i_debye,
     _log_series_lead,
     _point,
     _ratio_cf,
     _ratio_perron,
     _series_crossover,
+    _series_pair,
     _series_sum,
 )
 import ncx2shape.density as density_module
@@ -76,6 +80,14 @@ def _mp_ratio(mu, x):
         return float(mpmath.besseli(m, mx) / mpmath.besseli(m - 1, mx))
 
 
+def _band_ratio(mu, x):
+    """r_mu(x) from the general bands, as bessel_ratio takes them at every order but 1/2."""
+    if x < SERIES_RATIO_MAX_X:
+        total, total_lower = _series_pair(mu, x)
+        return x * total / (2.0 * mu * total_lower)
+    return _ratio_cf(mu, x) if x < _series_crossover(mu) else _ratio_perron(mu, x)
+
+
 def bessel_ratio_derivative(mu, x):
     """r'_mu(x) = 1 - (2 mu - 1) r_mu(x) / x - r_mu(x)^2, the identity the density uses."""
     return _ratio_slope(2.0 * mu, x, bessel_ratio(mu, x))
@@ -107,9 +119,10 @@ class TestBesselI:
     """I_mu itself, as exp(log_bessel_i)."""
 
     def test_half_order_closed_form(self):
-        # I_1/2(x) = sqrt(2/(pi x)) sinh(x)
+        # I_1/2(x) = sqrt(2/(pi x)) sinh(x), against the series that
+        # log_bessel_i takes below its crossover at every order but +-1/2
         expected = math.sqrt(2.0 / math.pi) * math.sinh(1.0)
-        got = math.exp(log_bessel_i(0.5, 1.0))
+        got = math.exp(_log_series_lead(0.5, 1.0) + math.log(_series_sum(0.5, 1.0)))
         assert hybrid_close(got, expected, 1e-13)
         assert hybrid_close(got, I_HALF_AT_1, 1e-12)
 
@@ -169,9 +182,11 @@ class TestLogBesselI:
     @pytest.mark.parametrize("x", [1e4, 1e6, 1e8])
     def test_very_large_argument_halforder(self, x):
         # closed form: log I_1/2 = log(sinh x) + 0.5 log(2/(pi x))
-        #            = x - log 2 + log1p(-exp(-2x)) + 0.5 log(2/(pi x))
+        #            = x - log 2 + log1p(-exp(-2x)) + 0.5 log(2/(pi x)),
+        # against the uniform expansion, which log_bessel_i takes at every
+        # order but +-1/2 here
         expected = x - math.log(2.0) + 0.5 * math.log(2.0 / (math.pi * x))
-        assert hybrid_close(log_bessel_i(0.5, x), expected, 1e-13)
+        assert hybrid_close(_log_i_debye(0.5, x), expected, 1e-13)
 
     def test_largest_double(self):
         # log I_1/2 = x - log 2 + log1p(-exp(-2x)) + (log(2/pi) - log x) / 2
@@ -259,9 +274,11 @@ class TestDebyeBand:
         # x log-uniform over six decades from the crossover
         lo = _series_crossover(mu)
         x = lo * 1e6 ** u
-        got = log_bessel_i(mu, x)
-        assert got == _log_i_debye(abs(mu), x)
-        assert abs(got - _mp_log_i(mu, x)) <= 4.0 * math.ulp(x)
+        got, debye = log_bessel_i(mu, x), _log_i_debye(abs(mu), x)
+        # At mu = +-1/2 log_bessel_i is the closed form instead.
+        assert got == (_half_order(x)[1 if mu < 0.0 else 2] if abs(mu) == 0.5 else debye)
+        for value in (got, debye):
+            assert abs(value - _mp_log_i(mu, x)) <= 4.0 * math.ulp(x)
 
     @pytest.mark.parametrize("mu", [-0.5, 0.0, 0.5, 1.0, 10.5, 12.0, 25.0, 50.0])
     def test_seams(self, mu):
@@ -316,8 +333,10 @@ class TestDebyeBand:
 
 class TestBesselRatio:
     def test_half_order_is_tanh(self):
+        # The general bands (series quotient, Gauss's and Perron's fractions)
+        # at mu = 1/2, where bessel_ratio is tanh itself.
         for x in np.geomspace(1e-4, 50.0, 301):
-            assert abs(bessel_ratio(0.5, float(x)) - math.tanh(float(x))) <= 1e-12
+            assert abs(_band_ratio(0.5, float(x)) - math.tanh(float(x))) <= 1e-12
 
     def test_small_argument_leading_order(self):
         # r_1(x) ~ x/2 for small x; oracle by naive series quotient
@@ -331,7 +350,7 @@ class TestBesselRatio:
         assert abs(got - 0.995) < 1e-4
         assert hybrid_close(got, ratio_asymptotic(1.0, 100.0, "large"), 1e-4)
 
-    @pytest.mark.parametrize("mu", [0.05, 0.25, 0.5, 1.0, 2.5, 5.0])
+    @pytest.mark.parametrize("mu", [0.05, 0.25, 0.75, 1.0, 2.5, 5.0])
     def test_cf_asymptotic_overlap(self, mu):
         # Gauss's and Perron's fractions agree around their seam at
         # 30 + 2 mu, where bessel_ratio passes from the one to the other.
@@ -484,6 +503,7 @@ class TestSharedKernel:
     @example(mu=5e-17, u=0.0)
     @example(mu=0.25, u=0.0)
     @example(mu=50.0, u=1.0)
+    @example(mu=1.5, u=0.0)  # log I_{1/2}, the closed form
     def test_asymptotic_band_is_bit_identical(self, mu, u):
         # x runs log-uniformly over four decades from where both orders are
         # above their series crossovers.  Both logs are the uniform
@@ -513,6 +533,7 @@ class TestSharedKernel:
     @given(mu=_floats_log_and_flat(1e-20, 50.0), u=st.floats(min_value=0.0, max_value=1.0))
     @example(mu=5e-17, u=0.5)
     @example(mu=0.25, u=0.995)
+    @example(mu=1.5, u=0.5)  # log I_{1/2}, the closed form
     def test_series_band_matches_the_single_kernels(self, mu, u):
         # x runs log-uniformly over [1e-300, 30 + 2|mu - 1|), the series band.
         x = 1e-300 ** (1.0 - u) * _series_crossover(mu - 1.0) ** u
@@ -543,6 +564,7 @@ class TestSharedKernel:
     @example(mu=math.nextafter(0.5, 1.0), u=0.0)
     @example(mu=0.75, u=0.5)
     @example(mu=1.0, u=0.0)
+    @example(mu=1.5, u=0.5)  # log I_{1/2}, the closed form
     @example(mu=50.0, u=0.999)
     def test_band_between_the_crossovers_is_bit_identical(self, mu, u):
         # For mu > 1/2 and 30 + 2|mu - 1| <= x < 30 + 2 mu, Gauss's
@@ -576,6 +598,67 @@ class TestSharedKernel:
         assert sum(shared_err) <= sum(single_err)
         assert max(shared_err) <= max(single_err)
         assert max(shared_err) < 2e-14
+
+
+def _half_order_errors(x, values):
+    """Errors of (r, log I_{-1/2}, log I_{1/2}) at x against 40-digit mpmath, in eps.
+
+    Relative for r; for the logs, relative to the larger of 1 and the log's magnitude.
+    """
+    with mpmath.workdps(40):
+        mx = mpmath.mpf(x)
+        refs = (mpmath.tanh(mx), mpmath.log(mpmath.besseli(-0.5, mx)),
+                mpmath.log(mpmath.besseli(0.5, mx)))
+        scales = (refs[0], max(abs(refs[1]), 1), max(abs(refs[2]), 1))
+        return [float(abs(mpmath.mpf(v) - ref) / scale) / sys.float_info.epsilon
+                for v, ref, scale in zip(values, refs, scales)]
+
+
+class TestHalfOrder:
+    """mu = 1/2: tanh x, log I_{-1/2} = log cosh x + ... and log I_{1/2} in closed form."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0 ** e))
+    # Both sides of the switch to the log1p form of log sinh.
+    @example(x=HALF_ORDER_LOG1P_MIN_X)
+    @example(x=math.nextafter(HALF_ORDER_LOG1P_MIN_X, 0.0))
+    # Where the general bands meet at mu = 1/2.
+    @example(x=SERIES_RATIO_MAX_X)
+    @example(x=_series_crossover(0.5))
+    def test_entry_points_agree_within_two_eps(self, x):
+        values = _point(0.5, x)
+        assert values == (bessel_ratio(0.5, x), log_bessel_i(-0.5, x), log_bessel_i(0.5, x))
+        assert max(_half_order_errors(x, values)) <= 2.0
+
+    @pytest.mark.parametrize("x", [math.nan, 0.0, -0.0, -1.0, -math.inf])
+    def test_domain_errors(self, x):
+        for call in (_point, bessel_ratio, log_bessel_i, lambda _, y: log_bessel_i(-0.5, y)):
+            with pytest.raises(DomainError):
+                call(0.5, x)
+
+    def test_infinite_argument(self):
+        # The ratio's limit, as at every order; the logs refuse it.
+        assert bessel_ratio(0.5, math.inf) == 1.0
+        for mu in (-0.5, 0.5):
+            with pytest.raises(DomainError, match="finite"):
+                log_bessel_i(mu, math.inf)
+
+    def test_log1p_threshold(self, monkeypatch):
+        # log sinh x takes log1p(-e), e = e^{-2x}, from where e <= 1/2 (as
+        # rounded), and sinh below.  Both forms are needed: the log1p form
+        # alone loses digits to 1 - e for small x, and sinh alone overflows
+        # above x ~ 710.  Each form is within 2 eps on its side.
+        t0 = HALF_ORDER_LOG1P_MIN_X
+        assert math.exp(-2.0 * t0) == 0.5 < math.exp(-2.0 * math.nextafter(t0, 0.0))
+        below = [float(x) for x in np.geomspace(1e-3, t0, 60, endpoint=False)]
+        above = [float(x) for x in np.geomspace(t0, 20.0, 60)]
+        for x in below + above:
+            assert max(_half_order_errors(x, _half_order(x))) <= 2.0
+        monkeypatch.setattr(bessel_module, "HALF_ORDER_LOG1P_MIN_X", 0.0)
+        assert max(_half_order_errors(x, _half_order(x))[2] for x in below) > 2.0
+        monkeypatch.setattr(bessel_module, "HALF_ORDER_LOG1P_MIN_X", math.inf)
+        with pytest.raises(OverflowError):
+            _half_order(711.0)
 
 
 class TestRatioDerivative:

@@ -8,6 +8,7 @@ below is a genuine cross-check, not a tautology.
 
 import math
 import sys
+import types
 
 import mpmath
 import numpy as np
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from ncx2shape import bessel as bessel_module
 from ncx2shape import density as density_module
+from ncx2shape import shape as shape_module
 from ncx2shape import (
     DomainError,
     InternalConsistencyError,
@@ -27,6 +29,7 @@ from ncx2shape import (
     log_density_d1,
     log_density_d2,
     log_density_d3,
+    mode_report,
 )
 from ncx2shape.oracle import _mixture, density_series, finite_difference
 
@@ -421,12 +424,12 @@ def bad_ratio(cold_memo, monkeypatch):
 class TestKernelMemo:
     # A point in each band of the kernel: Gauss's fraction with the series
     # logs, the series quotient and logs (t < 1), the uniform expansion's
-    # logs with Perron's fraction (twice), and Gauss's fraction with the
+    # logs with Perron's fraction (twice), Gauss's fraction with the
     # uniform expansion's log I_{mu-1} and the series log I_mu
     # (30 + 2|mu - 1| <= t < 30 + 2 mu, 30.5 <= t < 31.5 at mu = 0.75;
-    # t = 31 here).
-    POINTS = ((Params(1, 5), 2.0), (Params(0.3, 0.7), 0.05), (Params(7.5, 40), 60.0),
-              (Params(60, 500), 700.0), (Params(1.5, 30.03125), 32.0))
+    # t = 31 here), and the closed form at nu = 1.
+    POINTS = ((Params(2, 5), 2.0), (Params(0.3, 0.7), 0.05), (Params(7.5, 40), 60.0),
+              (Params(60, 500), 700.0), (Params(1.5, 30.03125), 32.0), (Params(1, 5), 2.0))
 
     @pytest.mark.parametrize("p,x", POINTS)
     def test_row_takes_each_kernel_value_once(self, cold_memo, p, x):
@@ -452,19 +455,30 @@ class TestKernelMemo:
     def test_continued_fraction_row_takes_one_ratio_call(self, kernel_calls, bessel_sums):
         # At t = sqrt(10) the row's one kernel call takes the ratio from
         # Gauss's fraction once, and both logs from one series loop.
-        p, t = Params(1, 5), math.sqrt(10.0)
+        p, t = Params(2, 5), math.sqrt(10.0)
         log_density(p, 2.0)
         log_density_d1(p, 2.0)
         log_density_d2(p, 2.0)
+        assert kernel_calls["_point"] == [(1.0, t)]
+        assert bessel_sums == {"_series_pair": [(1.0, t)], "_series_sum": [], "_log_i_debye": [],
+                               "_ratio_cf": [(1.0, t)], "_ratio_perron": []}
+
+    def test_closed_form_takes_no_sum(self, kernel_calls, bessel_sums):
+        # At nu = 1 the row's one kernel call is tanh, log cosh and log sinh,
+        # and the solvers' ratios are tanh: no series, fraction or expansion.
+        p, t = Params(1, 5), math.sqrt(10.0)
+        _four_calls(p, 2.0)
         assert kernel_calls["_point"] == [(0.5, t)]
-        assert bessel_sums == {"_series_pair": [(0.5, t)], "_series_sum": [], "_log_i_debye": [],
-                               "_ratio_cf": [(0.5, t)], "_ratio_perron": []}
+        shape_module._critical_lambda_cached.cache_clear()
+        mode_report(p)
+        assert {mu for mu, _ in kernel_calls["bessel_ratio"]} == {0.5}
+        assert bessel_sums == {name: [] for name in bessel_sums}
 
     def test_unshared_row_takes_the_single_kernels(self, kernel_calls, bessel_sums):
         # Between the crossovers the three values share no sum: Gauss's
         # fraction, the uniform expansion at the order |mu - 1| and the
         # series of I_mu, once each, in the row's one kernel call.
-        p, x = self.POINTS[-1]
+        p, x = self.POINTS[4]
         _four_calls(p, x)
         assert kernel_calls["_point"] == [(0.75, 31.0)]
         assert bessel_sums == {"_series_pair": [], "_series_sum": [(0.75, 31.0)],
@@ -507,6 +521,22 @@ class TestKernelMemo:
     def test_self_check_sees_a_bad_ratio_in_every_band(self, bad_ratio, p, x):
         # Below t = 1 the ratio and the logs share their series sums, so
         # there the check sees only a defect in what follows them, as here.
+        with pytest.raises(InternalConsistencyError):
+            log_density_d2(p, x)
+
+    @pytest.mark.parametrize("lam,x", [(8.1, 0.1), (1000.0, 10.0)], ids=["t=0.9", "t=100"])
+    def test_self_check_sees_a_bad_tanh_at_nu_one(self, cold_memo, monkeypatch, lam, x):
+        # At nu = 1 the ratio is tanh and the logs log cosh and log sinh,
+        # separate libm routes at every t, so the check compares two
+        # lineages below t = 1 as well as above t = 30: with the kernel's
+        # tanh 1e-8 off (and nothing else), it fails at both.
+        p = Params(1, lam)
+        log_density_d2(p, x)
+        _clear_memo()
+        bad_math = types.SimpleNamespace(**{name: getattr(math, name) for name in dir(math)
+                                            if not name.startswith("_")})
+        bad_math.tanh = lambda t: math.tanh(t) * (1.0 + 1e-8)
+        monkeypatch.setattr(bessel_module, "math", bad_math)
         with pytest.raises(InternalConsistencyError):
             log_density_d2(p, x)
 
