@@ -155,14 +155,26 @@ class Params:
     nu: float
     lam: float
 
-    def __post_init__(self):
-        nu, lam = float(self.nu), float(self.lam)
-        if math.isnan(nu) or math.isinf(nu) or nu <= 0.0:
-            raise DomainError(f"degrees of freedom must be finite and > 0, got {self.nu}")
-        if math.isnan(lam) or math.isinf(lam) or lam < 0.0:
-            raise DomainError(f"noncentrality must be finite and >= 0, got {self.lam}")
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "lam", lam)
+    # Written out, here and in shape.CriticalLambda, shape.ShapeReport and
+    # modes.ModeReport: the __init__ that @dataclass(frozen=True) generates
+    # stores each field through object.__setattr__, which costs about twice a
+    # direct __dict__ store (Python 3.11, timeit on a shared 2-vCPU host:
+    # Params(nu=..., lam=...) 1.03 -> 0.49 us, a 7-field ModeReport 1.33 ->
+    # 0.64 us).  On a modes-sweep op of ~21 us, building the records was
+    # ~2 us, about one Bessel-ratio kernel call.  The price: a field load
+    # on the materialized __dict__ takes ~28 ns instead of ~10 ns.  The
+    # decorator generates no __init__ for a class that defines one, and
+    # assigning a field still raises FrozenInstanceError.  The parameters
+    # are the fields, in order (tests/test_density.py::TestRecordContract).
+    def __init__(self, nu: float, lam: float) -> None:
+        nu_f, lam_f = float(nu), float(lam)
+        if not 0.0 < nu_f < math.inf:
+            raise DomainError(f"degrees of freedom must be finite and > 0, got {nu}")
+        if not 0.0 <= lam_f < math.inf:
+            raise DomainError(f"noncentrality must be finite and >= 0, got {lam}")
+        d = self.__dict__
+        d["nu"] = nu_f
+        d["lam"] = lam_f
 
 
 def _bad_x(x: float) -> DomainError:

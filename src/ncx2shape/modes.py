@@ -135,6 +135,19 @@ class ModeReport:
     bounds_upper: float | None
     bound_source: str | None
 
+    # Direct __dict__ stores; see the comment on density.Params.__init__.
+    def __init__(self, params: Params, zero_is_mode: bool, interior_mode: float | None,
+                 antimode: float | None, bounds_lower: float | None, bounds_upper: float | None,
+                 bound_source: str | None) -> None:
+        d = self.__dict__
+        d["params"] = params
+        d["zero_is_mode"] = zero_is_mode
+        d["interior_mode"] = interior_mode
+        d["antimode"] = antimode
+        d["bounds_lower"] = bounds_lower
+        d["bounds_upper"] = bounds_upper
+        d["bound_source"] = bound_source
+
 
 def _bounds_with_source(nu: float, lam: float) -> tuple[float, float, str]:
     loose = lam + nu - 4.0

@@ -98,6 +98,15 @@ class CriticalLambda:
     tol: float
     iterations: int
 
+    # Direct __dict__ stores; see the comment on density.Params.__init__.
+    def __init__(self, nu: float, lambda_nu: float, tau: float, tol: float, iterations: int) -> None:
+        d = self.__dict__
+        d["nu"] = nu
+        d["lambda_nu"] = lambda_nu
+        d["tau"] = tau
+        d["tol"] = tol
+        d["iterations"] = iterations
+
 
 @dataclass(frozen=True)
 class ShapeReport:
@@ -113,6 +122,17 @@ class ShapeReport:
     bimodal: bool
     convex_then_concave: bool
     critical_lambda: float | None
+
+    # Direct __dict__ stores; see the comment on density.Params.__init__.
+    def __init__(self, params: Params, log_concave: bool, decreasing: bool, bimodal: bool,
+                 convex_then_concave: bool, critical_lambda: float | None) -> None:
+        d = self.__dict__
+        d["params"] = params
+        d["log_concave"] = log_concave
+        d["decreasing"] = decreasing
+        d["bimodal"] = bimodal
+        d["convex_then_concave"] = convex_then_concave
+        d["critical_lambda"] = critical_lambda
 
 
 def criticality_indicator(nu: float, lam: float) -> float:
@@ -134,7 +154,7 @@ def criticality_indicator(nu: float, lam: float) -> float:
     0.50004 at lam = 1e12 and 2.22 at 1e16, and it is 0.0 at 1e20).
     :func:`classify` does not use it.
     """
-    if math.isnan(nu) or not 0.0 < nu < 2.0:
+    if not 0.0 < nu < 2.0:
         raise DomainError(f"indicator requires 0 < nu < 2, got {nu}")
     if not 4.0 - nu < lam < math.inf:
         raise DomainError(f"indicator requires finite lam > 4 - nu = {4.0 - nu}, got {lam}")
@@ -310,7 +330,7 @@ def critical_lambda(nu: float, tol: float = DEFAULT_TOL) -> CriticalLambda:
     and so do :func:`classify`, :func:`inflection_point` and
     :func:`ncx2shape.modes.mode_report`, which solve it.
     """
-    if math.isnan(nu) or not 0.0 < nu < 2.0:
+    if not 0.0 < nu < 2.0:
         raise DomainError(f"critical noncentrality is defined for 0 < nu < 2, got {nu}")
     _check_tol(tol)
     return _critical_lambda_cached(float(nu), float(tol))

@@ -6,7 +6,10 @@ series and Bessel routes are implemented independently, so their agreement
 below is a genuine cross-check, not a tautology.
 """
 
+import dataclasses
+import inspect
 import math
+import pickle
 import sys
 import types
 
@@ -23,6 +26,8 @@ from ncx2shape import (
     DomainError,
     InternalConsistencyError,
     Params,
+    classify,
+    critical_lambda,
     density_bessel,
     inflection_point,
     log_density,
@@ -75,6 +80,83 @@ class TestParams:
     def test_invalid(self, nu, lam):
         with pytest.raises(DomainError):
             Params(nu=nu, lam=lam)
+
+
+class TestRecordContract:
+    """The four answer records are frozen dataclasses with written-out __init__s.
+
+    Each is built by the public call that returns it; the repr literals are
+    the ones printed before the __init__s were written out.
+    """
+
+    RECORDS = {
+        "Params": (
+            lambda: Params(1, 5),
+            "Params(nu=1.0, lam=5.0)",
+        ),
+        "ShapeReport": (
+            lambda: classify(Params(1, 5)),
+            "ShapeReport(params=Params(nu=1.0, lam=5.0), log_concave=False, decreasing=False, "
+            "bimodal=True, convex_then_concave=True, critical_lambda=4.216561774898294)",
+        ),
+        "ModeReport-interior": (
+            lambda: mode_report(Params(1, 5)),
+            "ModeReport(params=Params(nu=1.0, lam=5.0), zero_is_mode=True, "
+            "interior_mode=2.6007689515381256, antimode=0.5606714670833106, bounds_lower=2.0, "
+            "bounds_upper=3.0, bound_source='bimodal')",
+        ),
+        "ModeReport-none": (
+            lambda: mode_report(Params(1, 1)),
+            "ModeReport(params=Params(nu=1.0, lam=1.0), zero_is_mode=True, interior_mode=None, "
+            "antimode=None, bounds_lower=None, bounds_upper=None, bound_source=None)",
+        ),
+        "CriticalLambda": (
+            lambda: critical_lambda(0.5),
+            "CriticalLambda(nu=0.5, lambda_nu=4.661384668420168, tau=2.3267274630931776, "
+            "tol=1e-08, iterations=2)",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(RECORDS))
+    def test_contract(self, name):
+        build, pinned = self.RECORDS[name]
+        obj = build()
+        cls = type(obj)
+        names = [f.name for f in dataclasses.fields(cls)]
+        assert list(inspect.signature(cls.__init__).parameters)[1:] == names
+        for field in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, field, getattr(obj, field))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(obj, field)
+        copy = dataclasses.replace(obj)
+        assert copy == obj and hash(copy) == hash(obj)
+        assert pickle.loads(pickle.dumps(obj)) == obj
+        assert repr(obj) == pinned
+        assert obj == build()
+
+    @pytest.mark.parametrize("nu,lam", [(1, 5), (np.float64(1.5), np.float64(2.0)), (2, 0)])
+    def test_params_stores_floats(self, nu, lam):
+        p = Params(nu, lam)
+        assert type(p.nu) is float and type(p.lam) is float
+        assert (p.nu, p.lam) == (float(nu), float(lam))
+
+    BAD_PARAMS = (
+        [(nu, 5, f"degrees of freedom must be finite and > 0, got {nu}") for nu in (0, -1, math.nan, math.inf)]
+        + [(1, lam, f"noncentrality must be finite and >= 0, got {lam}") for lam in (-1, math.nan, math.inf)]
+    )
+
+    @pytest.mark.parametrize("nu,lam,message", BAD_PARAMS)
+    def test_params_messages(self, nu, lam, message):
+        with pytest.raises(DomainError) as built:
+            Params(nu, lam)
+        with pytest.raises(DomainError) as replaced:
+            dataclasses.replace(Params(1, 5), nu=nu, lam=lam)
+        assert str(built.value) == str(replaced.value) == message
+
+    def test_params_accepts_negative_zero(self):
+        assert Params(1, -0.0).lam == 0.0
+        assert dataclasses.replace(Params(1, 5), lam=-0.0).lam == 0.0
 
 
 class TestCentralDensity:

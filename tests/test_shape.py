@@ -148,6 +148,8 @@ class TestCriticalityIndicator:
             criticality_indicator(2.0, 5.0)
         with pytest.raises(DomainError):
             criticality_indicator(-0.5, 5.0)
+        with pytest.raises(DomainError, match="0 < nu < 2"):
+            criticality_indicator(math.nan, 5.0)
         for lam in (math.inf, math.nan):
             with pytest.raises(DomainError, match="finite"):
                 criticality_indicator(1.0, lam)
@@ -305,6 +307,8 @@ class TestCriticalLambda:
             critical_lambda(2.0)
         with pytest.raises(DomainError):
             critical_lambda(0.0)
+        with pytest.raises(DomainError, match="0 < nu < 2"):
+            critical_lambda(math.nan)
         with pytest.raises(DomainError):
             critical_lambda(1.0, tol=0.0)
 
