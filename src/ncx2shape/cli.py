@@ -185,8 +185,8 @@ def _cmd_critical_table(args) -> None:
     rows = []
     for nu in nus:
         res = critical_lambda(nu, args.tol)
-        rows.append([nu, res.lambda_nu, res.iterations])
-    columns = ["nu", "lambda_nu", "iterations"]
+        rows.append([nu, res.lambda_nu])
+    columns = ["nu", "lambda_nu"]
     payload = {"rows": [dict(zip(columns, r)) for r in rows]}
     _emit(args.format, payload, columns, rows, {"tol": args.tol})
 

@@ -125,9 +125,7 @@ def _ratio_at(nu: float, t: float, anchor: list) -> tuple[float, float]:
 def _curvature(nu: float, t: float, r: float) -> float:
     """g_nu(t) = x^2 l''(x) = (2 - nu)/2 + t^2 (1 - r^2)/4 - nu t r/4, given r = r_{nu/2}(t).
 
-    Kept in r, as is :func:`_curvature_slope` (apart, so that l'' does not
-    pay for it): written in s = t r they round differently, moving tau and
-    printed lambda_nu digits at tiny nu.
+    Kept apart from :func:`_curvature_slope`, so that l'' does not pay for it.
     """
     return 0.5 * (2.0 - nu) + 0.25 * t * t * (1.0 - r * r) - 0.25 * nu * t * r
 

@@ -22,19 +22,29 @@ Both roots are solved in t = sqrt(lam x), the variable of
 so the slope has the sign of h.  The same Bessel ratio r and its
 derivative r' give h' = s' - 2t / lam and h'' = s'' - 2 / lam, with
 s' = t + (2 - nu) r - t r^2 and s'' = 1 + (2 - nu) r' - r^2 - 2 t r r', and
-the root-finder shared with :mod:`ncx2shape.shape` takes Halley steps on
-them.  As for tau, r and r' come from :func:`ncx2shape.density._ratio_at`:
-from the kernel only for a point beyond the continuation radius of the
-solve's last kernel point, continued from that point otherwise (see
-:mod:`ncx2shape.shape`).  The root-finder narrows t to relative width
-``tol / 2`` and returns x = t^2 / lam, so
+the root-finder :func:`_bisect` takes Halley steps on them.  r and r' come
+from :func:`ncx2shape.density._ratio_at` and the solve's anchor, its last
+kernel point, with r' from the Riccati equation r' = 1 - (nu - 1) r / t - r^2.
+A point that moves farther than 2^-16 min(t, 4096) from the anchor calls
+the kernel and becomes the new anchor; a nearer one, as the closing pair and
+the last short step are, continues the anchor's r by the cubic Taylor
+polynomial of that equation, within 2 ulp of the kernel's own accuracy.  So
+a root costs its evaluations of h, but a kernel call only for each move
+beyond that radius.
+
+:func:`_bisect` narrows a bracket by Halley steps, kept inside it, falling
+back to halving, until ``hi - lo <= rtol * hi``; a start within a quarter
+of the stop width ends it in two evaluations, one kernel call.  No solve
+searches for its bracket.  Each narrows t to relative width ``tol / 2``
+and returns x = t^2 / lam, so
 ``tol`` is relative: each root lies within about ``tol * x / 2`` of a sign
 change of the slope.  It returns the closing step's point, usually far
 closer than that: at the default ``tol``, on the inputs the test suite
 pins (away from the fold at lam = lambda_nu), the 12 digits the CLI prints
 are those of the rounded root.
 
-For nu < 2 the brackets in t are theorems, and no end is evaluated:
+For nu < 2 the brackets in t are theorems, and no end is evaluated
+(tau and lambda_nu from :func:`ncx2shape.shape.critical_lambda`):
 
 * mode      (tau, sqrt(lam (lam + nu - 3))): h(tau) = tau^2 (1/lambda_nu -
   1/lam) > 0 exactly when the density is bimodal, and lam + nu - 3 is the
@@ -71,8 +81,8 @@ import sys
 from dataclasses import dataclass
 
 from .density import LAMBDA_ZERO, Params, _ratio_at, _ratio_slope
-from .errors import DomainError, InternalConsistencyError
-from .shape import _bisect, _check_tol, _decreasing, _horner, critical_lambda
+from .errors import ConvergenceError, DomainError, InternalConsistencyError
+from .shape import _check_tol, _decreasing, _horner, critical_lambda
 
 # Position tolerance (relative) for the mode and antimode solvers.
 DEFAULT_TOL = 1e-10
@@ -177,6 +187,82 @@ def antimode(p: Params, tol: float = DEFAULT_TOL) -> float | None:
     return mode_report(p, tol).antimode
 
 
+def _bisect(f, lo: float, hi: float, rtol: float, x: float | None = None) -> tuple[float, int]:
+    """A point of the final bracket around the sign change of ``f``, and the evaluation count.
+
+    ``f(x)`` returns ``(f, f', f'')``.  The value f is positive at ``lo``
+    and not positive at ``hi``; neither end is evaluated.  Every evaluated
+    point becomes the new ``lo`` or ``hi``, starting from ``x`` (default:
+    the midpoint).  The next point is Halley's step, the Newton step
+    ``x - f / slope`` on ``slope = f' - f f'' / (2 f')`` (``f'`` itself where
+    ``f'`` is 0), from the last one when it stays in the bracket and is at
+    most half the previous step (rtsafe, *Numerical Recipes* 9.4), and the
+    midpoint otherwise.  A step shorter than half the stop width
+    ``w = rtol * x`` closes the bracket instead: ``f`` is evaluated ``w/4``
+    beyond the step's point, then ``w/4`` short of it, and when the first of
+    these lands on the side of the last point the next step is the
+    midpoint.  Evaluations other than halvings are capped at the number of
+    halvings the bracket needs, so derivatives that are wrong, zero or NaN
+    at most double the cost of plain bisection.  Returns once
+    ``hi - lo <= rtol * hi``: the step's point of the closing pair when the
+    loop ends on one and that point lies in the final bracket (it is then
+    within ``w/4`` of both ends), else the bracket's midpoint, so the answer
+    always lies within half that width of a sign change; raises
+    :class:`ConvergenceError` once a midpoint no longer splits the bracket.
+    """
+    evals = 0
+    half = 0.5 * (hi - lo)  # half the last step, and of the bracket at first
+    width = rtol * hi
+    # Evaluations other than halvings may number as many as halving alone needs.
+    spare = math.log2((hi - lo) / width)
+    if x is None:
+        x = 0.5 * (lo + hi)
+    else:
+        spare -= 1
+    closing = math.nan
+    while hi - lo > width:
+        closing = math.nan
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                raise ConvergenceError(f"bisection cannot split [{lo!r}, {hi!r}] to the tolerance")
+        value, d1, d2 = f(x)
+        slope = d1 - value * d2 / (2.0 * d1) if d1 else d1
+        evals += 1
+        positive = value > 0.0
+        if positive:
+            lo = x
+        else:
+            hi = x
+        new = x - value / slope if slope else math.nan
+        step = new - x
+        if spare > 0.0 and lo <= new <= hi and -half <= step <= half:
+            spare -= 1
+            h = 0.25 * (rtol * new)
+            if -2.0 * h < step < 2.0 * h:
+                beyond = math.copysign(h, step)
+                for y in (new + beyond, new - beyond):
+                    if lo < y < hi:
+                        evals += 1
+                        y_positive = f(y)[0] > 0.0
+                        if y_positive:
+                            lo = y
+                        else:
+                            hi = y
+                        if y_positive == positive:
+                            break
+                closing = new
+                new = 0.5 * (lo + hi)
+                step = new - x
+        else:
+            new = 0.5 * (lo + hi)
+            step = new - x
+        half = 0.5 * step if step >= 0.0 else -0.5 * step
+        x = new
+        width = rtol * hi
+    return (closing if lo <= closing <= hi else 0.5 * (lo + hi)), evals
+
+
 def _slope_in_t(nu: float, lam: float, sign: float):
     """``t -> sign * (h(t), h'(t), h''(t))``, h(t) = 2x l'(x) at x = t (t / lam)."""
     # t (t / lam), not t * t / lam: at lam = 1e-300 the product t * t is subnormal.
@@ -263,6 +349,11 @@ def mode_report(p: Params, tol: float = DEFAULT_TOL) -> ModeReport:
         )
     elif nu < 2.0:
         # Both brackets are theorems (see the module notes): no end is evaluated.
+        # tau is the stored fit, off the zero of g_nu by some d within FIT_TOL
+        # relative.  That is harmless here: h(tau + d) = (tau + d)^2
+        # (1/F(tau + d) - 1/lam), and F is stationary at tau, so the error
+        # moves the sign of h at the shared end only for lam within O(d^2) of
+        # lambda_nu.
         tau = solved.tau
         # The mode lies just below lam + nu - 3 (by about (3 - nu) / (2 lam)).
         start = lam + nu - 3.0 + (nu - 3.0) / (2.0 * lam)

@@ -12,27 +12,14 @@ tau gives the inflection point tau^2 / lam, where the slope peaks, so the
 density is bimodal iff lam > lambda_nu = F(tau) = min_t F(t), with
 F(t) = t^2 / (t r(t) + nu - 2).  The paper's indicator is a cross-check.
 
-Every root of the shape problem is a root in t of a function of
-s(t) = t r_{nu/2}(t): g_nu for tau, and 2x l'(x) = s + nu - 2 - t^2 / lam
-for the interior mode and the antimode (see :mod:`ncx2shape.modes`).
-Each hands the solver f, f' and f'' from one Bessel ratio r and r', r''
-from the Riccati equation r' = 1 - (nu - 1) r / t - r^2, all through
-:func:`ncx2shape.density._ratio_at` and the solve's anchor, its last kernel
-point.  A point that moves farther than 2^-16 min(t, 4096) from the anchor
-calls the kernel and becomes the new anchor; a nearer one, as the closing
-pair and the last short step are, continues the anchor's r by the cubic
-Taylor polynomial of that equation, within 2 ulp of the kernel's own
-accuracy.  So a root costs its evaluations of f, but a kernel call only
-for each move beyond that radius.
-Every solver finds a single sign change the same way: :func:`_bisect`
-narrows a bracket by Halley steps, which it forms itself, kept inside it,
-falling back to halving, until ``hi - lo <= rtol * hi``.  Each
-solve starts near its root (tau from a stored fit, :func:`_tau_start`), and
-a start within a quarter of the stop width ends it in two evaluations, one
-kernel call.  No solver searches for a bracket, and no end is evaluated:
-each end is a theorem.  Only the nu >= 2 mode, for nu within ~1e-6 of 2 and
-lam + nu - 4 below ~1e-6, checks its clamped lower end (see
-:mod:`ncx2shape.modes`).
+lambda_nu and tau are smooth functions of nu alone, so they are stored, not
+solved: each is a 33-term Chebyshev interpolant (Trefethen, *Approximation
+Theory and Approximation Practice*, 2013) of its 50-digit mpmath value,
+evaluated by two Horner sums.  From ``NU_FLOOR`` up both are within
+``FIT_TOL`` relative of mpmath (tested), closer than a double-precision
+solve of g_nu gets at tiny nu, where its sign is rounding noise.  The roots
+that depend on lam, the interior mode and the antimode, are solved by
+:mod:`ncx2shape.modes`.
 """
 
 from __future__ import annotations
@@ -42,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .bessel import bessel_ratio
-from .density import LAMBDA_ZERO, Params, _curvature, _curvature_slope, _ratio_at, log_density_d2
+from .density import LAMBDA_ZERO, Params, log_density_d2
 from .errors import ConvergenceError, DomainError
 
 DEFAULT_TOL = 1e-8
@@ -51,61 +38,87 @@ DEFAULT_TOL = 1e-8
 # Decreasing and log-concave overlap exactly there.
 CRITICAL_LAMBDA_AT_2 = 2.0
 
-_INFLECTION_REL_TOL = 1e-10
+# Relative error bound of the stored lambda_nu and tau from NU_FLOOR up: the
+# smallest tol critical_lambda accepts.  tests/test_shape.py checks it against
+# 50-digit mpmath (worst seen: 2.3e-16 for lambda_nu, 5.2e-16 for tau, most
+# of the latter the rounding of tau's endpoint factor).
+FIT_TOL = 1e-15
 
-_TAU_MAX = 2.0 * math.sqrt(3.0)  # upper end of the tau bracket
-
-# tau(nu) / (2 (12 nu)^(1/6) (2 - nu)^(1/4)), the factor being tau's endpoint
-# laws, as polynomials of degree 16 in w, highest power first: w = nu^(1/3)
-# below nu = 1 and w = (2 - nu)^(1/2) from nu = 1.  Each is the Chebyshev
-# interpolant on w in [0, 1] of the 50-digit mpmath tau (mpmath.chebyfit, 17
-# nodes), rounded to double.  With the factor, :func:`_tau_start` is within
-# 5e-10 relative of tau below nu = 1 and within 4e-12 from there (tested
-# against mpmath): a quarter of the stop width at tol 1e-8, and at 1e-10
-# too from nu = 1.
+# lambda_nu and tau / (2 (12 nu)^(1/6) (2 - nu)^(1/4)), the factor being
+# tau's endpoint laws, as polynomials of degree 32 in u = 2w - 1, highest
+# power first: w = nu^(1/3) below nu = 1 and w = (2 - nu)^(1/2) from nu = 1.
+# Each is the Chebyshev interpolant on u in [-1, 1] of the 50-digit mpmath
+# value (mpmath.chebyfit, 33 nodes), rounded to double.
+_LAMBDA_LOW = (
+    -4.78016408285261e-07, -7.543992666088139e-07, 2.7518458605883647e-06, 4.339004283457364e-06,
+    -7.940508087483143e-06, -1.2520119681972051e-05, 1.3596565466436611e-05,
+    2.1424745016154756e-05, -1.6675334920566926e-05, -2.629956316117864e-05,
+    1.2550257978228374e-05, 1.971418380858938e-05, -1.123530454047493e-05, -1.79119241255081e-05,
+    -4.281395955926671e-06, -7.437396144176259e-06, -2.327910397221228e-05, -3.897168145109786e-05,
+    -6.31958070483165e-05, -0.00010883251664014853, -0.00018553095733769387,
+    -0.0003181474357382569, -0.000580545375611992, -0.0010960045754546289, -0.001945493668536296,
+    -0.003333713545541284, -0.00701573583897566, -0.018294977134044054, -0.04023887785468004,
+    -0.1273773922207216, -0.5851896382850168, 0.2588683720280096, 4.743534896230933,
+)
+_LAMBDA_HIGH = (
+    -3.158704521061275e-10, -5.971506190688422e-10, 1.4759890096192847e-09, 2.786318668309304e-09,
+    -4.507989612388864e-09, -8.519833262101368e-09, 5.9251439310656394e-09, 1.1152980263886399e-08,
+    -1.2342183232298352e-08, -2.3458239751713005e-08, -8.91860310530017e-09,
+    -1.7561869815628694e-08, -6.25888200949836e-08, -1.2149461397412028e-07,
+    -2.204685754007343e-07, -4.3176409436228703e-07, -8.55774582256746e-07,
+    -1.6894266855712007e-06, -3.3497883562427044e-06, -6.68495696117454e-06,
+    -1.343140204113058e-05, -2.720257669781589e-05, -5.563057600381766e-05,
+    -0.00011517085932278224, -0.00024217017645566014, -0.0005206152369751251,
+    -0.0011516887594343614, -0.0026908180843128785, -0.006677603348977186, -0.02115923451623398,
+    0.04355498218974474, 1.1328028925628393, 3.072870936826162,
+)
 _TAU_LOW = (
-    -0.8782265873742923, 6.304418188233916, -20.59987207864523, 40.45293088999707,
-    -53.15307295311315, 49.25870716282873, -33.087864299705075, 16.304700101152868,
-    -5.8962955913331445, 1.5375948908743449, -0.2686162634184216, -0.006767259650972138,
-    -0.0367729732838814, 0.16950737934235488, -0.19283432043622306, 4.473857152533975e-08,
-    0.8408964151762105,
+    -4.6456475806613705e-08, -7.329804995497952e-08, 2.675022844450057e-07, 4.2168417860160316e-07,
+    -7.718862993356251e-07, -1.2167647726276887e-06, 1.3219126704364318e-06,
+    2.0825110290009974e-06, -1.6208715522844169e-06, -2.5556820515975052e-06,
+    1.221086683732175e-06, 1.917627850896035e-06, -1.089036691018893e-06, -1.73373632495548e-06,
+    -4.0578197199323245e-07, -7.135709564832934e-07, -2.2326986574000205e-06,
+    -3.6760663758634298e-06, -5.962501410901973e-06, -1.0560023442509192e-05,
+    -1.8112103004468093e-05, -2.871531997677992e-05, -5.1262969624252625e-05,
+    -0.00010943369039562154, -0.00019397845579693712, -0.00031436972015346073,
+    -0.0004506016109055851, -0.0013343084288873666, -0.007191377123062911, 0.0024303506743063395,
+    -0.008037996290090844, -0.04685925129343127, 0.8106172274401661,
 )
 _TAU_HIGH = (
-    0.011204149269906085, -0.07843732175310845, 0.251492723391319, -0.4863045365862413,
-    0.6309589053680895, -0.5784870699631026, 0.38504985226652255, -0.18789557976450935,
-    0.0673209028779522, -0.016782284690277656, 0.0025025439296243613, 0.002001860708831447,
-    -0.003541487860039143, 0.007221847601876388, -0.042932987905234164, 0.19626530666342923,
-    0.5887959215011123,
+    1.3713497953370651e-11, 2.6209775356068184e-11, -6.29808703931615e-11, -1.2012573448900882e-10,
+    1.948864548348828e-10, 3.723704925258829e-10, -2.4456268451792963e-10, -4.642770928776953e-10,
+    5.658164553268103e-10, 1.0904893520199139e-09, 5.547224789826654e-10, 1.111134790224118e-09,
+    3.445358432884133e-09, 6.825411110717439e-09, 1.2877564847253976e-08, 2.5790414735377512e-08,
+    5.2204318067758325e-08, 1.05616717082878e-07, 2.1480491921752536e-07, 4.401163087227407e-07,
+    9.07203188006312e-07, 1.8876147915045937e-06, 3.9415752514320594e-06, 8.363135716522153e-06,
+    1.7547374195899134e-05, 3.8347535719164204e-05, 7.689090040664924e-05, 0.00018029245529198817,
+    0.0002245781106985808, 0.0007577498371347105, -0.00865443692682306, 0.07883119083597624,
+    0.6769446206888504,
 )
 
 
 @dataclass(frozen=True)
 class CriticalLambda:
-    """Critical noncentrality for 0 < nu < 2, with solver metadata.
+    """Critical noncentrality for 0 < nu < 2.
 
-    ``tau`` is the zero of g_nu (the inflection point is ``tau**2 / lam``);
-    ``iterations`` counts the evaluations of g_nu that solved tau to
-    relative width ``tol`` (the stored start, Halley steps, halvings and the
-    closing pair: 2 at the default ``tol``, one Bessel kernel call, since the
-    closing pair continues the start's ratio).
-    ``lambda_nu`` reuses the ratio of the evaluated point nearest ``tau``
-    and costs no further evaluation.
+    ``tau`` is the zero of g_nu (the inflection point is ``tau**2 / lam``).
+    ``lambda_nu`` and ``tau`` come from the stored fits, within ``FIT_TOL``
+    relative of their exact values, whatever ``tol`` (at least ``FIT_TOL``)
+    was asked for.
     """
 
     nu: float
     lambda_nu: float
     tau: float
     tol: float
-    iterations: int
 
     # Direct __dict__ stores; see the comment on density.Params.__init__.
-    def __init__(self, nu: float, lambda_nu: float, tau: float, tol: float, iterations: int) -> None:
+    def __init__(self, nu: float, lambda_nu: float, tau: float, tol: float) -> None:
         d = self.__dict__
         d["nu"] = nu
         d["lambda_nu"] = lambda_nu
         d["tau"] = tau
         d["tol"] = tol
-        d["iterations"] = iterations
 
 
 @dataclass(frozen=True)
@@ -175,96 +188,10 @@ def _horner(coeffs: tuple[float, ...], w: float) -> float:
     return total
 
 
-def _tau_start(nu: float) -> float:
-    """tau(nu) from the stored fit, for 0 < nu < 2."""
-    if nu < 1.0:
-        fitted = _horner(_TAU_LOW, nu ** (1.0 / 3.0))
-    else:
-        fitted = _horner(_TAU_HIGH, math.sqrt(2.0 - nu))
-    return 2.0 * (12.0 * nu) ** (1.0 / 6.0) * (2.0 - nu) ** 0.25 * fitted
-
-
-def _bisect(f, lo: float, hi: float, rtol: float, x: float | None = None) -> tuple[float, int]:
-    """A point of the final bracket around the sign change of ``f``, and the evaluation count.
-
-    ``f(x)`` returns ``(f, f', f'')``.  The value f is positive at ``lo``
-    and not positive at ``hi``; neither end is evaluated.  Every evaluated
-    point becomes the new ``lo`` or ``hi``, starting from ``x`` (default:
-    the midpoint).  The next point is Halley's step, the Newton step
-    ``x - f / slope`` on ``slope = f' - f f'' / (2 f')`` (``f'`` itself where
-    ``f'`` is 0), from the last one when it stays in the bracket and is at
-    most half the previous step (rtsafe, *Numerical Recipes* 9.4), and the
-    midpoint otherwise.  A step shorter than half the stop width
-    ``w = rtol * x`` closes the bracket instead: ``f`` is evaluated ``w/4``
-    beyond the step's point, then ``w/4`` short of it, and when the first of
-    these lands on the side of the last point the next step is the
-    midpoint.  Evaluations other than halvings are capped at the number of
-    halvings the bracket needs, so derivatives that are wrong, zero or NaN
-    at most double the cost of plain bisection.  Returns once
-    ``hi - lo <= rtol * hi``: the step's point of the closing pair when the
-    loop ends on one and that point lies in the final bracket (it is then
-    within ``w/4`` of both ends), else the bracket's midpoint, so the answer
-    always lies within half that width of a sign change; raises
-    :class:`ConvergenceError` once a midpoint no longer splits the bracket.
-    """
-    evals = 0
-    half = 0.5 * (hi - lo)  # half the last step, and of the bracket at first
-    width = rtol * hi
-    # Evaluations other than halvings may number as many as halving alone needs.
-    spare = math.log2((hi - lo) / width)
-    if x is None:
-        x = 0.5 * (lo + hi)
-    else:
-        spare -= 1
-    closing = math.nan
-    while hi - lo > width:
-        closing = math.nan
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-            if not lo < x < hi:
-                raise ConvergenceError(f"bisection cannot split [{lo!r}, {hi!r}] to the tolerance")
-        value, d1, d2 = f(x)
-        slope = d1 - value * d2 / (2.0 * d1) if d1 else d1
-        evals += 1
-        positive = value > 0.0
-        if positive:
-            lo = x
-        else:
-            hi = x
-        new = x - value / slope if slope else math.nan
-        step = new - x
-        if spare > 0.0 and lo <= new <= hi and -half <= step <= half:
-            spare -= 1
-            h = 0.25 * (rtol * new)
-            if -2.0 * h < step < 2.0 * h:
-                beyond = math.copysign(h, step)
-                for y in (new + beyond, new - beyond):
-                    if lo < y < hi:
-                        evals += 1
-                        y_positive = f(y)[0] > 0.0
-                        if y_positive:
-                            lo = y
-                        else:
-                            hi = y
-                        if y_positive == positive:
-                            break
-                closing = new
-                new = 0.5 * (lo + hi)
-                step = new - x
-        else:
-            new = 0.5 * (lo + hi)
-            step = new - x
-        half = 0.5 * step if step >= 0.0 else -0.5 * step
-        x = new
-        width = rtol * hi
-    return (closing if lo <= closing <= hi else 0.5 * (lo + hi)), evals
-
-
-# Smallest nu the sub-two solvers accept.  From here up, lambda_nu is within
-# relative tol of 50-digit mpmath at tol 1e-8 and 1e-10 (worst 0.78 tol on
-# 600 draws in [1e-16, 1e-15], 1.45 tol in [1e-17, 1e-16]); below it
-# D = 2 - nu - t r cancels until the solve returns a wrong value or divides by
-# zero.  Checked on a cache miss only.
+# Smallest nu the sub-two solvers accept.  The stored lambda_nu and tau hold
+# FIT_TOL below it too; what sets the floor is the tiny-nu mode and l'': h
+# and D = 2 - nu - t r cancel as t r -> 2 - nu (ROADMAP item 3), and below
+# 1e-16 the bimodal report would rest on them.  Checked on a cache miss only.
 NU_FLOOR = 1e-16
 
 
@@ -275,60 +202,38 @@ def _critical_lambda_cached(nu: float, tol: float) -> CriticalLambda:
             f"nu={nu!r} is below {NU_FLOOR:g}, the smallest degrees of freedom at which "
             "the critical noncentrality is solved to its tolerance"
         )
-    seen = []
-    # The last kernel point [t0, r0, reach] (see density._ratio_at): the
-    # closing pair and a last short step land within its reach.
-    anchor = [math.nan, math.nan, 0.0]
-
-    def g(t: float) -> tuple[float, float, float]:
-        r, dr = _ratio_at(nu, t, anchor)
-        seen.append((t, r))
-        # g'' from the same r, with r'' = -(nu - 1) (r'/t - r/t^2) - 2 r r'.
-        d2r = -(nu - 1.0) * (dr - r / t) / t - 2.0 * r * dr
-        return (_curvature(nu, t, r), _curvature_slope(nu, t, r, dr),
-                0.5 * (1.0 - r * r) - 2.0 * t * r * dr - 0.5 * t * t * (dr * dr + r * d2r)
-                - 0.25 * nu * (2.0 * dr + t * d2r))
-
-    # The stored fit starts within a quarter of the stop width at tol 1e-8, so
-    # the solve ends on the start and one point of the closing pair.
-    start = _tau_start(nu)
-    # Neither end is evaluated.  g_nu(0+) = (2 - nu)/2 > 0.  At t = 2 sqrt 3,
-    # g_nu = 4 - nu/2 - 3 r^2 - (sqrt 3 / 2) nu r, which falls as r > 0 grows.
-    # With mu = nu/2, I_{mu-1} - I_{mu+1} = (2 mu / t) I_mu (DLMF 10.29.1)
-    # taken twice gives 1/r = 2 mu / t + 1 / (2 (mu + 1) / t + I_{mu+2}/I_{mu+1}),
-    # and Amos (Math. Comp. 28, 1974) bounds I_{v+1}/I_v(t) below by
-    # t / (v + 1/2 + sqrt(t^2 + (v + 3/2)^2)) for v = mu + 1 >= 0.  So r is at
-    # least the r_low(nu) these give, and g_nu(2 sqrt 3) is at most
-    # 4 - nu/2 - 3 r_low^2 - (sqrt 3 / 2) nu r_low, which decreases on
-    # [0, 2] from -0.1596 at nu = 0 (tested).  tau_nu peaks at 2.339 near
-    # nu = 0.635.
-    tau, iterations = _bisect(g, 0.0, _TAU_MAX, tol, start)
-    if not seen:  # tol >= 1: the bracket needs no evaluation
-        g(tau)
-    # lambda_nu = F(t) = t^2 / (t r + nu - 2) at the evaluated point nearest
-    # tau: F is stationary at tau, so a distance d costs only O(d^2), and d is
-    # at most the stop width.  nu - 2.0 is exact; adding t r to nu first
-    # would cancel near nu = 2.
-    t, r = min(seen, key=lambda point: abs(point[0] - tau))
-    lambda_nu = t * t / (t * r + (nu - 2.0))
-    return CriticalLambda(nu=nu, lambda_nu=lambda_nu, tau=tau, tol=tol, iterations=iterations)
+    if tol < FIT_TOL:
+        raise ConvergenceError(
+            f"tolerance {tol!r} is below {FIT_TOL:g}, the tested accuracy of the stored "
+            "critical noncentrality"
+        )
+    if nu < 1.0:
+        u = 2.0 * nu ** (1.0 / 3.0) - 1.0
+        lambda_nu = _horner(_LAMBDA_LOW, u)
+        fitted = _horner(_TAU_LOW, u)
+    else:
+        u = 2.0 * math.sqrt(2.0 - nu) - 1.0
+        lambda_nu = _horner(_LAMBDA_HIGH, u)
+        fitted = _horner(_TAU_HIGH, u)
+    tau = 2.0 * (12.0 * nu) ** (1.0 / 6.0) * (2.0 - nu) ** 0.25 * fitted
+    return CriticalLambda(nu=nu, lambda_nu=lambda_nu, tau=tau, tol=tol)
 
 
 def critical_lambda(nu: float, tol: float = DEFAULT_TOL) -> CriticalLambda:
-    """Critical noncentrality for 0 < nu < 2, from the zero tau of g_nu.
+    """Critical noncentrality for 0 < nu < 2, and the zero tau of g_nu.
 
-    tau is solved to relative ``tol``, and lambda_nu is F at the evaluated
-    point nearest tau; F is stationary at tau, so lambda_nu carries only
-    the square of that distance.  Results are kept per
-    (nu, tol) in a bounded, thread-safe, semantically invisible cache.
+    Both come from the stored fits (see the module notes), within
+    ``FIT_TOL`` relative of their exact values, so any ``tol`` of at least
+    ``FIT_TOL`` is met and a smaller one raises :class:`ConvergenceError`.
+    Results are kept per (nu, tol) in a bounded, thread-safe, semantically
+    invisible cache.
 
-    The solve starts from a stored fit of tau(nu) built on its endpoint laws
-    (tau ~ 2 (12 nu)^(1/6) as nu -> 0 and 2 (2 - nu)^(1/4) as nu -> 2), but
-    the fit is only a start: tau is always solved, and lambda_nu computed,
-    from g_nu itself.  The critical value approaches 4 as nu drops to 0 and
-    2 as nu rises to 2.  Below ``NU_FLOOR`` it raises :class:`DomainError`,
-    and so do :func:`classify`, :func:`inflection_point` and
-    :func:`ncx2shape.modes.mode_report`, which solve it.
+    The fits are built on the endpoint laws: lambda_nu = 4 + (12 nu)^(1/3)
+    (1 + o(1)) as nu -> 0 and 2 + 2 sqrt(2 - nu) + (2 - nu)/3 + O((2 - nu)^(3/2))
+    as nu -> 2; tau ~ 2 (12 nu)^(1/6) and 2 (2 - nu)^(1/4).  Below
+    ``NU_FLOOR`` it raises :class:`DomainError`, and so do :func:`classify`,
+    :func:`inflection_point` and :func:`ncx2shape.modes.mode_report`, which
+    use it.
     """
     if not 0.0 < nu < 2.0:
         raise DomainError(f"critical noncentrality is defined for 0 < nu < 2, got {nu}")
@@ -376,14 +281,14 @@ def classify(p: Params, tol: float = DEFAULT_TOL) -> ShapeReport:
 def inflection_point(p: Params) -> float:
     """Unique zero of the log-density second derivative, for 0 < nu < 2, lam > 0.
 
-    It is tau**2 / lam, with tau solved to 1e-10; one public l'' call there
-    runs the self-check at the reported point.
+    It is tau**2 / lam, with tau from :func:`critical_lambda`; one public l''
+    call there runs the self-check at the reported point.
     """
     nu, lam = p.nu, p.lam
     if not 0.0 < nu < 2.0:
         raise DomainError(f"inflection point requires 0 < nu < 2, got nu={nu}")
     if lam < LAMBDA_ZERO:
         raise DomainError(f"inflection point requires lam >= {LAMBDA_ZERO}, got lam={lam}")
-    x = critical_lambda(nu, _INFLECTION_REL_TOL).tau ** 2 / lam
+    x = critical_lambda(nu).tau ** 2 / lam
     log_density_d2(p, x)
     return x

@@ -112,8 +112,7 @@ class TestRecordContract:
         ),
         "CriticalLambda": (
             lambda: critical_lambda(0.5),
-            "CriticalLambda(nu=0.5, lambda_nu=4.661384668420168, tau=2.3267274630931776, "
-            "tol=1e-08, iterations=2)",
+            "CriticalLambda(nu=0.5, lambda_nu=4.661384668420166, tau=2.326727463093175, tol=1e-08)",
         ),
     }
 

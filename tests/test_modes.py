@@ -157,26 +157,21 @@ class TestModeReport:
         assert not mode_report(Params(nu=2, lam=2.5)).zero_is_mode
 
     def test_bimodal_report_solves_each_root_once(self, monkeypatch):
-        # One solve in t serves the existence test and the inflection
-        # point.  modes binds _bisect at import, so its mode and antimode
-        # solves are not counted here.
+        # Two solves in t, the mode and the antimode; tau, the end their
+        # brackets share, is stored, not solved.
         calls = []
-        original = shape_module._bisect
+        original = ncx2shape.modes._bisect
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(shape_module, "_bisect", counted)
+        monkeypatch.setattr(ncx2shape.modes, "_bisect", counted)
         shape_module._critical_lambda_cached.cache_clear()
         rep = mode_report(Params(nu=1, lam=5))
         assert rep.interior_mode is not None and rep.antimode is not None
-        assert len(calls) == 1
-        shape_module._critical_lambda_cached.cache_clear()
-        classify(Params(nu=1, lam=5))
-        calls.clear()
-        mode_report(Params(nu=1, lam=5))
-        assert calls == []
+        tau = critical_lambda(1.0).tau
+        assert [(lo, hi) for _, lo, hi, *_ in calls] == [(tau, math.sqrt(5.0 * 3.0)), (1.0, tau)]
 
     @pytest.mark.parametrize("nu, lam, lookups", [(1, 5, 1), (1, 4, 1), (0.5, 30, 1), (1.999, 3, 1),
                                                   (2, 2, 0), (2, 5, 0), (4, 5, 0), (3, 0, 0)])
@@ -434,26 +429,24 @@ class TestRootsAgainstMpmath:
 
     def test_classify_and_report_ratio_call_count(self, monkeypatch):
         # Pinned Bessel ratio count of classify + mode_report over a fixed
-        # list, from cold caches: one tau solve per distinct nu < 2 (the
-        # second (1, 5) reuses it) and the mode and antimode solves, whose
-        # points near the last kernel point continue its ratio.  No lower end
-        # is checked: at nu = 2 and 2 + 1e-7 the bracket starts at the padded
-        # lam + nu - 4.
+        # list, from cold caches: the mode and antimode solves, whose points
+        # near the last kernel point continue its ratio (tau is stored, not
+        # solved).  No lower end is checked: at nu = 2 and 2 + 1e-7 the
+        # bracket starts at the padded lam + nu - 4.
         calls = _count_ratio_calls(monkeypatch)
         for nu, lam in CALL_COUNT_CASES:
             p = Params(nu, lam)
             classify(p)
             mode_report(p)
-        assert len(calls) == 32
+        assert len(calls) == 28
 
     def test_evaluations_per_root(self, monkeypatch):
-        # Mean evaluations of f per root over a fixed list, caches cold: tau
-        # at tol 1e-8 from its stored fit, then the modes and the antimode at
-        # 1e-10.  Starting tau within 15% and the antimode at its bracket's
-        # midpoint took 4.0 and 4.6528 here.
+        # Mean evaluations of f per root over a fixed list, caches cold: the
+        # modes and the antimode at 1e-10 (tau is stored, not solved).
+        # Starting the antimode at its bracket's midpoint took 4.6528 here.
         draws = _evaluation_draws()
-        evals = {"tau": [], "mode_sub_two": [], "antimode": [], "mode_above_two": []}
-        solve = shape_module._bisect
+        evals = {"mode_sub_two": [], "antimode": [], "mode_above_two": []}
+        solve = ncx2shape.modes._bisect
         order = []
 
         def counted(*args):
@@ -461,15 +454,13 @@ class TestRootsAgainstMpmath:
             order.append(n)
             return root, n
 
-        monkeypatch.setattr(shape_module, "_bisect", counted)
         monkeypatch.setattr(ncx2shape.modes, "_bisect", counted)
         shape_module._critical_lambda_cached.cache_clear()
         for nu, lam in draws:
             order.clear()
             mode_report(Params(nu, lam))
             if nu < 2.0:
-                tau, mode, anti = order
-                evals["tau"].append(tau)
+                mode, anti = order
                 evals["mode_sub_two"].append(mode)
                 evals["antimode"].append(anti)
             else:
@@ -477,7 +468,7 @@ class TestRootsAgainstMpmath:
         shape_module._critical_lambda_cached.cache_clear()
         means = {k: round(sum(v) / len(v), 4) for k, v in evals.items()}
         assert len(draws) == 120
-        assert means == {"tau": 2.0, "mode_sub_two": 4.0, "antimode": 3.6667, "mode_above_two": 3.4583}
+        assert means == {"mode_sub_two": 4.0, "antimode": 3.6667, "mode_above_two": 3.4583}
 
     @pytest.mark.parametrize("nu, lam", [(4, 5), (2.5, 0.1), (3, 1e-3), (10, 100), (60, 500),
                                          (100, 1000), (2.001, 7)])
@@ -524,7 +515,7 @@ class TestRootsAgainstMpmath:
         # (5.19 on average on the modes-sweep draws from the midpoint start),
         # no end is evaluated above lam = 2 + 1e-6, and each root is within
         # tol of mpmath's.
-        solve = shape_module._bisect
+        solve = ncx2shape.modes._bisect
         evals = []
 
         def counted(*args):

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import ncx2shape.modes as modes_module
 import ncx2shape.shape as shape_module
 from ncx2shape import (
+    ConvergenceError,
     DomainError,
     Params,
     antimode,
@@ -32,8 +33,8 @@ from ncx2shape import (
     log_density_d3,
     mode_report,
 )
-from ncx2shape.modes import _slope_in_t, _t_inf
-from ncx2shape.shape import _bisect, _critical_lambda_cached, _tau_start
+from ncx2shape.modes import _bisect, _slope_in_t, _t_inf
+from ncx2shape.shape import FIT_TOL, _critical_lambda_cached
 
 # nu -> independently computed critical noncentrality
 REFERENCE_ROOTS = {
@@ -65,35 +66,36 @@ TABLE_ROOTS = {
 }
 
 
+# The upper end of the root-finder tests' bracket on tau (ROOT_PROBLEMS).
+TAU_MAX = 2.0 * math.sqrt(3.0)
+
+
+def _examples(nus):
+    """hypothesis ``@example(nu=...)`` for each of ``nus``."""
+    def apply(test):
+        for nu in nus:
+            test = example(nu=nu)(test)
+        return test
+    return apply
+
+
 def g_nu(nu, t):
     """x^2 l''(x) as a function of t = sqrt(lam x)."""
     r = bessel_ratio(0.5 * nu, t)
     return (2.0 - nu) / 2.0 + t * t * (1.0 - r * r) / 4.0 - nu * t * r / 4.0
 
 
-@functools.lru_cache(maxsize=None)
-def _mp_lambda_nu(nu):
-    """F at the 50-digit zero of g_nu, at the double nu."""
-    with mpmath.workdps(50):
-        nu_mp = mpmath.mpf(nu)
-
-        def ratio(t):
-            return mpmath.besseli(nu_mp / 2, t) / mpmath.besseli(nu_mp / 2 - 1, t)
-
-        def g(t):
-            r = ratio(t)
-            return (2 - nu_mp) / 2 + t * t * (1 - r * r) / 4 - nu_mp * t * r / 4
-
-        tau = mpmath.findroot(g, mpmath.mpf(critical_lambda(nu).tau))
-        return float(tau * tau / (tau * ratio(tau) + nu_mp - 2))
-
-
 def _mp_ratio(nu, t):
     return mpmath.besseli(nu / 2, t) / mpmath.besseli(nu / 2 - 1, t)
 
 
-def _mp_tau(nu):
-    """The 50-digit zero of g_nu, at the double nu, bracketed by tau's endpoint laws within 20%."""
+@functools.lru_cache(maxsize=None)
+def _mp_critical(nu):
+    """50-digit (tau, lambda_nu) at nu, a double or an mpf.
+
+    tau is the zero of g_nu, bracketed by its endpoint laws within 20%, and
+    lambda_nu = F(tau).
+    """
     with mpmath.workdps(50):
         nu = mpmath.mpf(nu)
 
@@ -102,7 +104,21 @@ def _mp_tau(nu):
             return (2 - nu) / 2 + t * t * (1 - r * r) / 4 - nu * t * r / 4
 
         guess = 2 * min((12 * nu) ** (mpmath.mpf(1) / 6), (2 - nu) ** mpmath.mpf(0.25))
-        return mpmath.findroot(g, (0.8 * guess, 1.2 * guess), solver="anderson")
+        tau = mpmath.findroot(g, (0.8 * guess, 1.2 * guess), solver="anderson")
+        return tau, tau * tau / (tau * _mp_ratio(nu, tau) + nu - 2)
+
+
+def _mp_tau(nu):
+    return _mp_critical(nu)[0]
+
+
+def _mp_lambda(nu):
+    return _mp_critical(nu)[1]
+
+
+def _mp_lambda_nu(nu):
+    """F at the 50-digit zero of g_nu, at the double nu, as a double."""
+    return float(_mp_lambda(nu))
 
 
 def _mp_t_inf(nu):
@@ -206,19 +222,26 @@ class TestCriticalLambda:
             assert root > 4.0 - nu
 
     def test_tau_bracket_upper_end(self):
-        # The tau solve brackets on [0, 2 sqrt 3].  tau_nu peaks at 2.339 near
-        # nu = 0.635, and g_nu(2 sqrt 3) < 0 across (0, 2), ends included.
+        # [0, 2 sqrt 3] brackets tau, the bracket of the root-finder's tau
+        # problems (ROOT_PROBLEMS).  tau_nu peaks at 2.339 near nu = 0.635,
+        # and g_nu(2 sqrt 3) < 0 across (0, 2), ends included.
         nus = np.concatenate([np.geomspace(1e-16, 1e-2, 200), np.linspace(1e-2, 1.99, 400),
                               2.0 - np.geomspace(1e-2, 1e-12, 200)])
-        assert max(g_nu(float(nu), shape_module._TAU_MAX) for nu in nus) < 0.0
+        assert max(g_nu(float(nu), TAU_MAX) for nu in nus) < 0.0
+        assert max(critical_lambda(float(nu)).tau for nu in nus) < TAU_MAX
         taus = [critical_lambda(float(nu)).tau for nu in np.linspace(0.6, 0.67, 15)]
         assert 2.33 < max(taus) < 2.34
 
     def test_tau_bracket_upper_end_bound(self):
-        # The proof in _critical_lambda_cached that g_nu(2 sqrt 3) < 0: Amos'
-        # lower bound on I_{v+1}/I_v for v = mu + 1 holds, and the bound on
-        # g_nu it gives stays below -0.159 on [0, 2].
-        t = shape_module._TAU_MAX
+        # A proof that g_nu(2 sqrt 3) < 0.  g_nu(0+) = (2 - nu)/2 > 0, and at
+        # t = 2 sqrt 3, g_nu = 4 - nu/2 - 3 r^2 - (sqrt 3 / 2) nu r, which
+        # falls as r > 0 grows.  With mu = nu/2, DLMF 10.29.1 taken twice
+        # gives 1/r = 2 mu / t + 1 / (2 (mu + 1) / t + I_{mu+2}/I_{mu+1}), and
+        # Amos (Math. Comp. 28, 1974) bounds I_{v+1}/I_v(t) below by
+        # t / (v + 1/2 + sqrt(t^2 + (v + 3/2)^2)) for v = mu + 1 >= 0.  That
+        # bound holds, and the bound on g_nu it gives stays below -0.159 on
+        # [0, 2].
+        t = TAU_MAX
         with mpmath.workdps(30):
             for v in np.linspace(1.0, 2.0, 21):
                 v = mpmath.mpf(float(v))
@@ -235,32 +258,10 @@ class TestCriticalLambda:
         assert values.max() < -0.159
         assert np.all(np.diff(values) < 0.0)
 
-    def test_tau_solve_evaluates_no_bracket_end(self, monkeypatch):
-        # Both ends of [0, 2 sqrt 3] are theorems; the solve never evaluates
-        # g_nu there, at a kernel point or a continued one.
-        seen = []
-        ratio_at = shape_module._ratio_at
-
-        def recorded(nu, t, anchor):
-            seen.append(t)
-            return ratio_at(nu, t, anchor)
-
-        monkeypatch.setattr(shape_module, "_ratio_at", recorded)
-        _critical_lambda_cached.cache_clear()
-        try:
-            for nu in (1e-12, 1e-4, 0.25, 0.635, 1.0, 1.75, 2.0 - 1e-9):
-                for tol in (1e-8, 1e-12):
-                    critical_lambda(nu, tol)
-        finally:
-            _critical_lambda_cached.cache_clear()
-        assert seen
-        assert all(0.0 < t < shape_module._TAU_MAX for t in seen)
-
     @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12, 1e-14])
     def test_lambda_nu_matches_mpmath_at_every_tolerance(self, tol):
-        # lambda_nu is F at the evaluated point nearest tau, within the stop
-        # width of it; F is stationary there, so the README's 1e-12 holds
-        # at every tol.  The reference is F at the 50-digit zero of g_nu.
+        # The stored lambda_nu does not depend on tol: the README's 1e-12
+        # holds at every tol.  The reference is F at the 50-digit zero of g_nu.
         nus = np.concatenate([np.geomspace(1e-8, 0.1, 14), np.linspace(0.1, 1.9, 12)[1:-1],
                               2.0 - np.geomspace(0.1, 1e-8, 14)])
         for nu in map(float, nus):
@@ -270,12 +271,13 @@ class TestCriticalLambda:
         res = critical_lambda(1.0, tol=1e-8)
         assert g_nu(1.0, res.tau * (1.0 - 1e-7)) > 0.0 > g_nu(1.0, res.tau * (1.0 + 1e-7))
         assert inflection_point(Params(1, 5)) == critical_lambda(1.0, 1e-10).tau ** 2 / 5
-        assert res.iterations > 0
         assert res.tol == 1e-8
+        assert (res.lambda_nu, res.tau) == (critical_lambda(1.0, 1e-12).lambda_nu,
+                                            critical_lambda(1.0, 1e-12).tau)
 
     @pytest.mark.parametrize("nu,ref", sorted(MPMATH_ROOTS.items()))
     def test_error_far_below_tolerance(self, nu, ref):
-        # lambda_nu = F(tau) is stationary in tau: the error is second order.
+        # The tol asked for is 1e-8; the stored value is within FIT_TOL.
         assert abs(critical_lambda(nu, tol=1e-8).lambda_nu - ref) <= 1e-12
 
     @pytest.mark.parametrize("nu", [0.25, 1.0, 1.75])
@@ -312,9 +314,20 @@ class TestCriticalLambda:
         with pytest.raises(DomainError):
             critical_lambda(1.0, tol=0.0)
 
+    @pytest.mark.parametrize("nu", [1e-16, 0.5, 1.0, 2.0 - 1e-12])
+    def test_tolerance_below_fit_tol_raises(self, nu):
+        # Any tol down to FIT_TOL, the fits' tested bound, is met; below it
+        # the call refuses.
+        assert critical_lambda(nu, FIT_TOL).lambda_nu == critical_lambda(nu).lambda_nu
+        for tol in (math.nextafter(FIT_TOL, 0.0), 3e-16, 1e-16):
+            with pytest.raises(ConvergenceError, match="below 1e-15"):
+                critical_lambda(nu, tol)
+        with pytest.raises(ConvergenceError, match="below 1e-15"):
+            classify(Params(nu, 3.0), 1e-16)
+
 
 class TestNuFloor:
-    """Below ``NU_FLOOR`` every sub-two solver refuses; from it up, lambda_nu meets its tol."""
+    """Below ``NU_FLOOR`` every sub-two solver refuses; from it up, lambda_nu is within FIT_TOL."""
 
     FLOOR = shape_module.NU_FLOOR
     # Without the floor, 1e-300 returned lambda_nu = -4.2e-269 and classified
@@ -323,11 +336,10 @@ class TestNuFloor:
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-10])
     def test_lambda_nu_within_tol_from_the_floor(self, tol):
-        # Relative: tol is relative throughout.  Between 1e-17 and 1e-16 the
-        # error reaches 1.45 tol at tol 1e-10, so the floor is not lower.
+        # Relative, as tol is, and within FIT_TOL whatever tol is asked for.
         for nu in map(float, np.geomspace(self.FLOOR, 1e-8, 17)):
-            ref = _mp_lambda_nu(nu)
-            assert abs(critical_lambda(nu, tol).lambda_nu - ref) <= tol * ref, nu
+            ref = _mp_lambda(nu)
+            assert abs(critical_lambda(nu, tol).lambda_nu - ref) <= FIT_TOL * ref, nu
 
     @pytest.mark.parametrize("nu", BELOW)
     def test_solvers_refuse_below_the_floor(self, nu):
@@ -346,51 +358,100 @@ class TestNuFloor:
         assert rep.antimode < rep.interior_mode
 
 
-# nu over both pieces of each stored start: log-spaced towards 0 and towards
+class TestEndpointLaws:
+    """lambda_nu's laws at both ends of (0, 2), each with its measured next order, on the stored fit."""
+
+    @pytest.mark.parametrize("nu", [1e-15, 1e-12, 1e-9, 1e-6])
+    def test_towards_zero(self, nu):
+        # As nu -> 0, (lambda_nu - 4) / (12 nu)^(1/3) -> 1; with w = nu^(1/3)
+        # it is 1 + a w + O(w^2), a = -0.57236 (50-digit mpmath: 0.999994 at
+        # nu = 1e-15, 0.99943 at 1e-9; the w^2 coefficient is about -0.24).
+        # The fit's own error, FIT_TOL of lambda_nu ~ 4.8, is divided by
+        # (12 nu)^(1/3) here.
+        scale = (12.0 * nu) ** (1.0 / 3.0)
+        w = nu ** (1.0 / 3.0)
+        ratio = (critical_lambda(nu).lambda_nu - 4.0) / scale
+        assert abs(ratio - 1.0) <= 0.58 * w
+        assert abs(ratio - (1.0 - 0.57236 * w)) <= 0.3 * w * w + 5.0 * FIT_TOL / scale
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+    def test_towards_two(self, eps):
+        # As eps = 2 - nu -> 0, lambda_nu = 2 + 2 sqrt(eps) + eps/3 + c eps^(3/2)
+        # + O(eps^2), c = -0.0694445 (from 50-digit mpmath; the eps^2
+        # coefficient is about -0.02).  The fit's own error, FIT_TOL of
+        # lambda_nu ~ 2, is divided by eps^(3/2) here.
+        nu = 2.0 - eps
+        eps = 2.0 - nu  # exact
+        c = (critical_lambda(nu).lambda_nu - (2.0 + 2.0 * math.sqrt(eps) + eps / 3.0)) / eps ** 1.5
+        assert abs(c + 0.0694445) <= 0.025 * math.sqrt(eps) + 4.0 * FIT_TOL / eps ** 1.5
+
+
+# nu over both pieces of each stored fit: log-spaced towards 0 and towards
 # 2 from 1e-12, evenly between, and both sides of the seam at nu = 1.
 START_NUS = sorted(set(map(float, np.concatenate([
     np.geomspace(1e-12, 0.5, 18), np.linspace(0.05, 1.95, 20), 2.0 - np.geomspace(1e-12, 0.5, 18),
     [math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0)]]))))
 
 
-class TestStoredStarts:
-    """The stored fits that start the tau and antimode solves.
+def _tau_factor(nu):
+    return 2 * (12 * nu) ** (mpmath.mpf(1) / 6) * (2 - nu) ** mpmath.mpf(0.25)
 
-    Each table is a polynomial in w, highest power first: the Chebyshev
-    interpolant on w in [0, 1], one node per coefficient, of the 50-digit
-    mpmath root over its normalising factor (mpmath.chebyfit), each
-    coefficient rounded to double.  tau / (2 (12 nu)^(1/6) (2 - nu)^(1/4))
-    takes degree 16 in w = nu^(1/3) below nu = 1 and in w = (2 - nu)^(1/2)
-    from there; t_inf / (nu^(1/4) (2 - nu)^(1/2)) takes degree 12 in
-    w = nu^(1/2) and degree 16 in w = (2 - nu)^(1/2).
+
+def _one(nu):
+    return 1
+
+
+class TestStoredStarts:
+    """The stored fits: lambda_nu and tau, and t_inf, which starts the antimode solve.
+
+    Each table is a polynomial, highest power first: the Chebyshev
+    interpolant, one node per coefficient, of the 50-digit mpmath value over
+    its normalising factor (mpmath.chebyfit), each coefficient rounded to
+    double.  lambda_nu and tau / (2 (12 nu)^(1/6) (2 - nu)^(1/4)) take
+    degree 32 in u = 2w - 1 on [-1, 1], with w = nu^(1/3) below nu = 1 and
+    w = (2 - nu)^(1/2) from there; t_inf / (nu^(1/4) (2 - nu)^(1/2)) takes
+    degree 12 in w = nu^(1/2) and degree 16 in w = (2 - nu)^(1/2), on w in
+    [0, 1].
     """
 
+    # (module, table, root, interval, nu of the fitted variable, factor)
     PIECES = {
-        "tau_low": (shape_module, "_TAU_LOW", _mp_tau, lambda w: w ** 3,
-                    lambda nu: 2 * (12 * nu) ** (mpmath.mpf(1) / 6) * (2 - nu) ** mpmath.mpf(0.25)),
-        "tau_high": (shape_module, "_TAU_HIGH", _mp_tau, lambda w: 2 - w ** 2,
-                     lambda nu: 2 * (12 * nu) ** (mpmath.mpf(1) / 6) * (2 - nu) ** mpmath.mpf(0.25)),
-        "t_inf_low": (modes_module, "_T_INF_LOW", _mp_t_inf, lambda w: w ** 2,
+        "lambda_low": (shape_module, "_LAMBDA_LOW", _mp_lambda, [-1, 1], lambda u: ((u + 1) / 2) ** 3,
+                       _one),
+        "lambda_high": (shape_module, "_LAMBDA_HIGH", _mp_lambda, [-1, 1],
+                        lambda u: 2 - ((u + 1) / 2) ** 2, _one),
+        "tau_low": (shape_module, "_TAU_LOW", _mp_tau, [-1, 1], lambda u: ((u + 1) / 2) ** 3, _tau_factor),
+        "tau_high": (shape_module, "_TAU_HIGH", _mp_tau, [-1, 1], lambda u: 2 - ((u + 1) / 2) ** 2,
+                     _tau_factor),
+        "t_inf_low": (modes_module, "_T_INF_LOW", _mp_t_inf, [0, 1], lambda w: w ** 2,
                       lambda nu: nu ** mpmath.mpf(0.25) * mpmath.sqrt(2 - nu)),
-        "t_inf_high": (modes_module, "_T_INF_HIGH", _mp_t_inf, lambda w: 2 - w ** 2,
+        "t_inf_high": (modes_module, "_T_INF_HIGH", _mp_t_inf, [0, 1], lambda w: 2 - w ** 2,
                        lambda nu: nu ** mpmath.mpf(0.25) * mpmath.sqrt(2 - nu)),
     }
 
     @pytest.mark.parametrize("piece", sorted(PIECES))
     def test_tables_are_the_chebyshev_interpolants(self, piece):
-        module, name, root, nu_of, factor = self.PIECES[piece]
+        module, name, root, interval, nu_of, factor = self.PIECES[piece]
         table = getattr(module, name)
         with mpmath.workdps(50):
-            poly = mpmath.chebyfit(lambda w: root(nu_of(w)) / factor(nu_of(w)), [0, 1], len(table))
+            poly = mpmath.chebyfit(lambda v: root(nu_of(v)) / factor(nu_of(v)), interval, len(table))
         assert tuple(float(c) for c in poly) == table
 
-    def test_tau_start_against_mpmath(self):
-        # Within 5e-10 relative below nu = 1 and 4e-12 from there: a quarter
-        # of the stop width at tol 1e-8, and from nu = 1 at 1e-10 too.
-        assert len(START_NUS) >= 40
-        for nu in START_NUS:
-            ref = _mp_tau(nu)
-            assert abs((_tau_start(nu) - ref) / ref) <= (5e-10 if nu < 1.0 else 4e-12), nu
+    @settings(max_examples=40, deadline=None)
+    @given(nu=st.floats(min_value=shape_module.NU_FLOOR, max_value=2.0, exclude_max=True))
+    @example(nu=math.nextafter(1.0, 0.0))
+    @example(nu=1.0)
+    @_examples([10.0 ** -k for k in range(16, 0, -1)] + [2.0 - 10.0 ** -k for k in range(12, 0, -1)])
+    def test_fits_within_fit_tol(self, nu):
+        # From NU_FLOOR up, lambda_nu and tau are within FIT_TOL relative of
+        # 50-digit mpmath, whatever tol is asked for.  Worst seen: 2.3e-16
+        # for lambda_nu and 5.2e-16 for tau, most of it the rounding of
+        # tau's endpoint factor.
+        res = critical_lambda(nu, 1e-8)
+        assert res.lambda_nu == critical_lambda(nu, FIT_TOL).lambda_nu
+        tau, lam = _mp_critical(nu)
+        assert abs(res.lambda_nu - lam) <= FIT_TOL * lam, nu
+        assert abs(res.tau - tau) <= FIT_TOL * tau, nu
 
     def test_t_inf_against_mpmath(self):
         for nu in START_NUS:
@@ -555,8 +616,8 @@ STARTS = {
 def _solves_from(start, p, tol):
     """mode_report(p, tol) from cold caches, every root solved from ``STARTS[start]``.
 
-    Returns the report and, per solve (tau first), the production slope and
-    bracket with what the solve returned and evaluated.
+    Returns the report and, per solve (the mode first), the production slope
+    and bracket with what the solve returned and evaluated.
     """
     solves = []
 
@@ -573,7 +634,6 @@ def _solves_from(start, p, tol):
         return root, evals
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(shape_module, "_bisect", bisect)
         patch.setattr(modes_module, "_bisect", bisect)
         _critical_lambda_cached.cache_clear()
         try:
@@ -596,16 +656,17 @@ def _t(lam, x):
     return math.sqrt(lam * x)
 
 
-# (function, lo, hi, rtol, start): the tau solve at three nu, the
-# interior mode of (1, 5), and the mode of (60, 500) on a wide bracket.
+# (function, lo, hi, rtol, start): the zero tau of g_nu at three nu, over
+# [0, 2 sqrt 3], the interior mode of (1, 5), and the mode of (60, 500) on a
+# wide bracket.
 # Each function returns (f, f', f'').  The tau problems pass f'' = 0, so
 # their steps are Newton's.  The modes are solved in t = sqrt(lam x), on the
 # solvers' one-ratio h(t) and Halley steps, over the x brackets
 # [1.02, 3.000003] and [550, 2000] from 3 and 557.5.
 ROOT_PROBLEMS = {
-    "tau_0.1": (_g_and_slope(0.1), 0.0, 3.0, 1e-8, 2.0),
-    "tau_1": (_g_and_slope(1.0), 0.0, 3.0, 1e-8, 2.0),
-    "tau_1.9": (_g_and_slope(1.9), 0.0, 3.0, 1e-12, 1.1),
+    "tau_0.1": (_g_and_slope(0.1), 0.0, TAU_MAX, 1e-8, 2.0),
+    "tau_1": (_g_and_slope(1.0), 0.0, TAU_MAX, 1e-8, 2.0),
+    "tau_1.9": (_g_and_slope(1.9), 0.0, TAU_MAX, 1e-12, 1.1),
     "mode_1_5": (_slope_in_t(1.0, 5.0, 1.0), _t(5.0, 1.02), _t(5.0, 3.000003), 5e-11, _t(5.0, 3.0)),
     "mode_60_500": (_slope_in_t(60.0, 500.0, 1.0), _t(500.0, 550.0), _t(500.0, 2000.0), 5e-11,
                     _t(500.0, 557.5)),
@@ -649,20 +710,24 @@ class TestRootFinder:
 
     def test_bracket_already_within_tolerance(self):
         # No evaluation, and the midpoint is the answer; a tol of 1 or more
-        # used to raise UnboundLocalError here.
+        # used to raise UnboundLocalError here.  critical_lambda returns its
+        # stored values at such a tol too.
         assert _bisect(lambda x: 1 / 0, 1.0, 2.0, 1.0) == (1.5, 0)
         res = critical_lambda(1.0, 1.0)
-        assert res.iterations == 0 and res.tau == 0.5 * shape_module._TAU_MAX
-        assert res.lambda_nu > critical_lambda(1.0).lambda_nu
+        assert (res.lambda_nu, res.tau) == (critical_lambda(1.0).lambda_nu, critical_lambda(1.0).tau)
 
     @pytest.mark.parametrize("nu", [1e-4, 0.01, 0.25, 0.5, 1.0, 1.5, 1.9, 1.99, 2.0 - 1e-4])
     def test_tau_solve_step_counts(self, nu):
-        # Plain bisection takes 27-29 halvings at 1e-8 and 34-36 at 1e-10.
-        # From the stored start, within a quarter of the stop width at 1e-8,
-        # the solve is the start and one point of the closing pair; at 1e-10
-        # one Halley step comes first below nu = 1.
-        assert critical_lambda(nu, 1e-8).iterations <= 2
-        assert critical_lambda(nu, 1e-10).iterations <= 3
+        # The root-finder on the tau problem, g_nu over [0, 2 sqrt 3], started
+        # from the stored tau; plain bisection takes 27-29 halvings at 1e-8
+        # and 34-36 at 1e-10.  The stored tau lies within a quarter of the
+        # stop width of the double-precision sign change of g_nu, so the
+        # solve is the start and one point of the closing pair.
+        tau = critical_lambda(nu).tau
+        for rtol in (1e-8, 1e-10):
+            root, evals = _bisect(_g_and_slope(nu), 0.0, TAU_MAX, rtol, tau)
+            assert evals == 2
+            assert abs(root - tau) <= 0.25 * rtol * tau
 
     @settings(max_examples=60, deadline=None)
     @given(nu=st.floats(min_value=0.01, max_value=100.0), u=st.floats(min_value=-4.0, max_value=4.0))
@@ -671,17 +736,18 @@ class TestRootFinder:
     @example(nu=1.98, u=4.0)
     @example(nu=50.0, u=-2.0)
     def test_start_is_only_a_start(self, nu, u):
-        # Every root of mode_report (tau, the mode, the antimode), solved on
-        # the production slope and bracket from the production start, the
-        # midpoint, NaN, either end or a point outside the bracket, is
-        # certified and bounded, and all agree within the stop width.  Below
-        # nu = 2, lam = lambda_nu (1 + 10^u) is bimodal; above it lam = 10^u.
+        # Every root of mode_report (the mode, and the antimode below nu = 2;
+        # tau is stored, not solved), solved on the production slope and
+        # bracket from the production start, the midpoint, NaN, either end or
+        # a point outside the bracket, is certified and bounded, and all
+        # agree within the stop width.  Below nu = 2, lam = lambda_nu
+        # (1 + 10^u) is bimodal; above it lam = 10^u.
         assume(abs(nu - 2.0) > 1e-3)
         lam = critical_lambda(nu).lambda_nu * (1.0 + 10.0 ** u) if nu < 2.0 else 10.0 ** u
         tol = 1e-10
         runs = {start: _solves_from(start, Params(nu, lam), tol) for start in STARTS}
         reference = runs["production"][1]
-        assert len(reference) == (3 if nu < 2.0 else 1)
+        assert len(reference) == (2 if nu < 2.0 else 1)
         for report, solves in runs.values():
             assert len(solves) == len(reference)
             for (f, lo, hi, rtol, root, evals, seen), ref in zip(solves, reference):
